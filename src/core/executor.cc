@@ -107,20 +107,34 @@ PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
       metric_(metric),
       options_(std::move(options)),
       session_(std::move(session)),
-      live_slots_(plan->queries.size(), 0),
+      live_views_(plan->queries.size()),
       pruner_(0, options_.online_pruning) {
   // Dense view index across the plan, plus the wiring from each view to the
-  // planned queries carrying one of its halves. A query is retired from the
-  // scan once every view riding on it has been pruned.
+  // (query, grouping set, aggregate) triples its halves read. A triple is
+  // retired from the scan once every view reading it has been pruned.
   for (size_t q = 0; q < plan_->queries.size(); ++q) {
+    const db::GroupingSetsQuery& query = plan_->queries[q].query;
+    std::unordered_map<std::string, size_t> agg_index;
+    for (size_t j = 0; j < query.aggregates.size(); ++j) {
+      agg_index.emplace(query.aggregates[j].EffectiveName(), j);
+    }
+    live_views_[q].assign(query.grouping_sets.size(),
+                          std::vector<size_t>(query.aggregates.size(), 0));
     for (const ViewSlot& slot : plan_->queries[q].slots) {
       auto [it, inserted] = view_index_.emplace(slot.view, views_.size());
       if (inserted) {
         views_.push_back(slot.view);
-        queries_of_view_.emplace_back();
+        aggs_of_view_.emplace_back();
       }
-      queries_of_view_[it->second].push_back(q);
-      ++live_slots_[q];
+      if (slot.result_index >= query.grouping_sets.size()) continue;
+      for (const std::string* column :
+           {&slot.target_column, &slot.comparison_column}) {
+        auto agg = agg_index.find(*column);
+        if (agg == agg_index.end()) continue;  // a half this query lacks
+        aggs_of_view_[it->second].push_back(
+            {q, slot.result_index, agg->second});
+        ++live_views_[q][slot.result_index][agg->second];
+      }
     }
   }
   pruner_ = OnlinePruningState(views_.size(), options_.online_pruning);
@@ -260,6 +274,29 @@ Result<std::vector<ViewEstimate>> PhasedPlanExecution::EstimateSurvivors()
   return estimates;
 }
 
+// Drops pruned view `v`'s reads and retires every aggregate of the sets it
+// read that no live view reads any more — including aggregates no view ever
+// read there (a combined query carries the union of its sets' payloads), so
+// a set whose views are all gone stops being scanned.
+Status PhasedPlanExecution::RetireUnreadAggregates(size_t v) {
+  for (const AggRef& ref : aggs_of_view_[v]) {
+    --live_views_[ref.query][ref.set][ref.aggregate];
+  }
+  for (const AggRef& ref : aggs_of_view_[v]) {
+    const bool was_active = session_.query_active(ref.query);
+    const std::vector<size_t>& readers = live_views_[ref.query][ref.set];
+    for (size_t j = 0; j < readers.size(); ++j) {
+      if (readers[j] == 0) {
+        SEEDB_RETURN_IF_ERROR(session_.RetireAggregate(ref.query, ref.set, j));
+      }
+    }
+    if (was_active && !session_.query_active(ref.query)) {
+      ++queries_deactivated_;
+    }
+  }
+  return Status::OK();
+}
+
 // The top-k is "CI-stable" when the same ordered top-k appeared at
 // `early_stop_stable_phases` consecutive boundaries and every adjacent pair
 // in the ranking — including the boundary pair against the best excluded
@@ -351,12 +388,7 @@ Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
         for (size_t v : pruner_.Observe(utilities)) {
           online_pruned_.push_back({views_[v], utilities[v], snap.phase,
                                     session_.rows_consumed()});
-          for (size_t q : queries_of_view_[v]) {
-            if (--live_slots_[q] == 0 && session_.query_active(q)) {
-              SEEDB_RETURN_IF_ERROR(session_.DeactivateQuery(q));
-              ++queries_deactivated_;
-            }
-          }
+          SEEDB_RETURN_IF_ERROR(RetireUnreadAggregates(v));
         }
         // Drop the newly pruned views from the boundary estimates so the
         // snapshot (and the early-stop policy) see survivors only.

@@ -17,7 +17,10 @@
 // re-estimates every surviving view's utility from its running (un-finalized)
 // aggregates and lets an online pruner (core/online_pruning.h) retire views
 // that provably — or probably, depending on the strategy — cannot make the
-// top k, so the remaining phases scan for fewer queries.
+// top k. Each (query, grouping set, aggregate) triple no surviving view
+// reads is then retired from the scan, so the remaining phases accumulate,
+// merge and materialize only what live views still need — even when the
+// optimizer fused every view into one query.
 
 #ifndef SEEDB_CORE_EXECUTOR_H_
 #define SEEDB_CORE_EXECUTOR_H_
@@ -113,7 +116,7 @@ struct ExecutionReport {
   /// frontend's "views not examined" display.
   std::vector<OnlinePrunedView> online_pruned;
   /// Planned queries the scan stopped computing because every view riding
-  /// on them had been pruned.
+  /// on them had been pruned (the query's last live aggregate died).
   size_t queries_deactivated = 0;
   /// The run stopped scanning before the last requested phase because the
   /// top-k was CI-stable (OnlinePruningOptions::early_stop_stable_phases);
@@ -273,6 +276,7 @@ class PhasedPlanExecution {
   void SeedUtilityPriors(db::PartialAggCache* cache, uint64_t table_version);
 
   Result<std::vector<ViewEstimate>> EstimateSurvivors() const;
+  Status RetireUnreadAggregates(size_t v);
   bool EvaluateEarlyStop(const std::vector<ViewEstimate>& estimates,
                          double eps);
 
@@ -281,12 +285,21 @@ class PhasedPlanExecution {
   ExecutorOptions options_;
   db::SharedScanSession session_;
 
+  /// One aggregate of one grouping set of one planned query.
+  struct AggRef {
+    size_t query;
+    size_t set;
+    size_t aggregate;
+  };
   /// Dense view index across the plan plus the wiring from each view to the
-  /// planned queries carrying one of its halves.
+  /// aggregates its target and comparison halves read, resolved once from
+  /// the ViewSlots' result_index and column names.
   std::vector<ViewDescriptor> views_;
   std::unordered_map<ViewDescriptor, size_t, ViewDescriptorHash> view_index_;
-  std::vector<std::vector<size_t>> queries_of_view_;
-  std::vector<size_t> live_slots_;
+  std::vector<std::vector<AggRef>> aggs_of_view_;
+  /// live_views_[q][s][j]: live views reading aggregate j of set s of
+  /// query q. The scan retires the triple when it drops to 0.
+  std::vector<std::vector<std::vector<size_t>>> live_views_;
 
   OnlinePruningState pruner_;
   size_t total_phases_ = 1;

@@ -65,11 +65,11 @@ class Engine;
 /// phases, with engine stat accounting folded in at Finalize().
 ///
 /// Created by Engine::BeginShared. The phased executor drives it: run a
-/// phase, inspect un-finalized per-query partials, retire queries whose
-/// views lost contention, repeat. However many phases the session runs, the
-/// whole batch still records exactly ONE table scan — phases partition one
-/// pass, they do not repeat it. A session abandoned without Finalize()
-/// records nothing.
+/// phase, inspect un-finalized per-query partials, retire the (query,
+/// grouping set, aggregate) triples no surviving view reads, repeat. However
+/// many phases the session runs, the whole batch still records exactly ONE
+/// table scan — phases partition one pass, they do not repeat it. A session
+/// abandoned without Finalize() records nothing.
 class SharedScanSession {
  public:
   SharedScanSession(SharedScanSession&&) noexcept = default;
@@ -79,8 +79,9 @@ class SharedScanSession {
   size_t num_queries() const { return state_.num_queries(); }
   size_t rows_consumed() const { return state_.rows_consumed(); }
 
-  /// Scans [row_begin, row_end) for every active query (phases must be
-  /// contiguous and forward; see db::SharedScanState::RunPhase).
+  /// Scans [row_begin, row_end) for every live (grouping set, aggregate)
+  /// pair (phases must be contiguous and forward; see
+  /// db::SharedScanState::RunPhase).
   Status RunPhase(size_t row_begin, size_t row_end);
 
   /// True once the options' cancel token cut a phase short; the session can
@@ -92,19 +93,28 @@ class SharedScanSession {
   /// token first). See db::SharedScanState::ResumeAfterCancel.
   Status ResumeAfterCancel() { return state_.ResumeAfterCancel(); }
 
+  /// True while any grouping set of query `q` holds a live aggregate.
   bool query_active(size_t q) const { return state_.query_active(q); }
   size_t active_queries() const { return state_.active_queries(); }
-  /// Retires query `q`: later phases stop scanning for it.
+  /// Retires one (query, grouping set, aggregate) triple: later phases stop
+  /// computing it, and a set with no live aggregate stops being scanned.
+  /// See db::SharedScanState::RetireAggregate.
+  Status RetireAggregate(size_t q, size_t set, size_t aggregate) {
+    return state_.RetireAggregate(q, set, aggregate);
+  }
+  /// Retires every aggregate of query `q`: later phases stop scanning it.
   Status DeactivateQuery(size_t q) { return state_.DeactivateQuery(q); }
 
-  /// Query q's current partial results (un-finalized running aggregates).
+  /// Query q's current partial results (un-finalized running aggregates);
+  /// sets with no live aggregate are empty placeholders.
   Result<std::vector<Table>> PartialResults(size_t q) const {
     return state_.PartialResults(q);
   }
 
   /// Terminal call: materializes every surviving query's results (retired
-  /// queries yield an empty vector) and records the whole session in the
-  /// engine's counters — queries_executed += batch size, table_scans += 1.
+  /// queries yield an empty vector, retired sets an empty placeholder
+  /// table) and records the whole session in the engine's counters —
+  /// queries_executed += batch size, table_scans += 1.
   Result<std::vector<std::vector<Table>>> Finalize();
 
   SharedScanStats stats() const { return state_.stats(); }

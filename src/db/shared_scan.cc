@@ -45,9 +45,20 @@ struct SetSpec {
   /// cache at Init: its merged state is already final, so workers never
   /// scan or merge it again.
   bool adopted = false;
+  /// Indices of the query's aggregates still live for this set, ascending.
+  /// Every aggregate starts live; RetireAggregate removes one for good. A
+  /// set with none left is dead: never scanned, merged or materialized
+  /// again.
+  std::vector<uint32_t> live_aggs;
   /// Raw column arrays for the vectorized group-id kernels.
   std::vector<vec::DenseDim> dims;
 };
+
+// True when workers scan this (query, set): it still has a live aggregate
+// and its final state did not come from the cache.
+bool Scanned(const SetSpec& set) {
+  return !set.adopted && !set.live_aggs.empty();
+}
 
 // One aggregate of one query, resolved for the scan.
 struct AggRuntime {
@@ -196,21 +207,20 @@ using WorkerState = std::vector<std::vector<SetAccum>>;
 // phase the worker scans it and RESET (capacity-preserving) on reuse, so
 // dense slabs are allocated exactly once per worker for the scan's
 // lifetime no matter how many phases run — pinned by
-// SharedScanStats::agg_slab_allocations.
+// SharedScanStats::agg_slab_allocations. Sets that are not scanned (dead or
+// cache-adopted, both for good) are left alone.
 void PrepareWorkerState(const std::vector<QuerySpec>& specs,
-                        const std::vector<uint8_t>& active,
                         WorkerState* state) {
   if (state->size() != specs.size()) {
     state->assign(specs.size(), std::vector<SetAccum>{});
   }
   for (size_t q = 0; q < specs.size(); ++q) {
-    if (!active[q]) continue;
     std::vector<SetAccum>& sets = (*state)[q];
     const bool fresh = sets.empty();
     if (fresh) sets.resize(specs[q].sets.size());
     for (size_t s = 0; s < specs[q].sets.size(); ++s) {
       const SetSpec& set = specs[q].sets[s];
-      if (set.adopted) continue;  // cache-adopted pairs never accumulate
+      if (!Scanned(set)) continue;
       SetAccum& accum = sets[s];
       if (set.vectorized) {
         if (fresh) {
@@ -233,9 +243,9 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
   }
 }
 
-void AccumulateRow(const QuerySpec& spec, LocalGroups* lg, int32_t gid,
-                   size_t row) {
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
+void AccumulateRow(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
+                   int32_t gid, size_t row) {
+  for (uint32_t j : set.live_aggs) {
     const AggRuntime& a = spec.aggs[j];
     if (a.filter && !(*a.filter)[row]) continue;
     if (a.input && a.input->IsNull(row)) continue;
@@ -263,7 +273,7 @@ void ScanMorsel(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
         lg->dense_to_local[slot] = gid;
         lg->dense_slot.push_back(slot);
       }
-      AccumulateRow(spec, lg, gid, i);
+      AccumulateRow(spec, set, lg, gid, i);
     }
     return;
   }
@@ -279,7 +289,7 @@ void ScanMorsel(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
       lg->NewGroup(static_cast<uint32_t>(i));
       lg->keys.push_back(*key_scratch);
     }
-    AccumulateRow(spec, lg, it->second, i);
+    AccumulateRow(spec, set, lg, it->second, i);
   }
 }
 
@@ -378,7 +388,7 @@ struct VecScratch {
 
 // The vectorized inner loop for one (query, set) over one morsel: group ids
 // once (radix kernel), group creation once (touch kernel), then one typed
-// flat-slab kernel per aggregate. `sel == nullptr` means the query selects
+// flat-slab kernel per live aggregate. `sel == nullptr` means the query selects
 // the whole morsel and the kernels walk [lo, hi) directly.
 void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
                    size_t lo, size_t hi, const vec::SelectionVector* sel,
@@ -396,14 +406,14 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
     vec::GroupIdsRange(set.dims.data(), set.dims.size(), lo, hi, gids);
     vec::TouchGroupsRange(gids, lo, n, t);
   }
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
+  for (uint32_t j : set.live_aggs) {
     const AggRuntime& a = spec.aggs[j];
     const uint8_t* filter = a.filter != nullptr ? a.filter->data() : nullptr;
     const uint8_t* validity =
         (a.input != nullptr && !a.input->validity().empty())
             ? a.input->validity().data()
             : nullptr;
-    AggState* slab = t->slab(static_cast<uint32_t>(j));
+    AggState* slab = t->slab(j);
     if (a.count_only) {
       // COUNT(*) has no input (validity nullptr counts every selected row);
       // COUNT(col) skips null inputs via the column's validity bytes.
@@ -444,15 +454,14 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
 // cancel token fires. `morsel_ids` lists the morsels of the phase grid this
 // pass covers — the full grid on a normal phase, only the missed morsels
 // when resuming a cut-short one. The token is checked at morsel-claim time
-// only, so a claimed morsel always completes for every active query — all
+// only, so a claimed morsel always completes for every scanned set — all
 // partial states describe exactly the same row set. Each worker's own
 // additions happen in increasing row order, so partial states stay
 // deterministic per worker-to-morsel assignment. `completed` marks each
 // scanned morsel (distinct bytes per morsel, so workers never contend) —
 // the record a later ResumeAfterCancel() scans the complement of.
 void WorkerLoop(const std::vector<QuerySpec>& specs,
-                const std::vector<SelRecipe>& recipes,
-                const std::vector<uint8_t>& active, size_t row_begin,
+                const std::vector<SelRecipe>& recipes, size_t row_begin,
                 size_t row_end, size_t morsel_rows,
                 const std::vector<size_t>& morsel_ids, bool use_simd,
                 std::atomic<size_t>* next_morsel,
@@ -474,10 +483,11 @@ void WorkerLoop(const std::vector<QuerySpec>& specs,
     vec_scratch.StartMorsel();
     bool used_vec = false;
     for (size_t q = 0; q < specs.size(); ++q) {
-      if (!active[q]) continue;
       for (size_t s = 0; s < specs[q].sets.size(); ++s) {
         const SetSpec& set = specs[q].sets[s];
-        if (set.adopted) continue;  // final state came from the cache
+        // Dead sets and cache-adopted ones: no group ids, no touch, no
+        // selection.
+        if (!Scanned(set)) continue;
         if (set.vectorized) {
           const int rid = specs[q].recipe;
           const vec::SelectionVector* sel =
@@ -513,8 +523,9 @@ struct GlobalGroups {
 // Folds one worker's partial state for one (query, set) into the persistent
 // global state. Key parts are table-global (dictionary codes / bit
 // patterns), so partials from different workers and phases merge correctly.
-void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
-                     const LocalGroups& lg, GlobalGroups* global) {
+// Only live aggregates merge: a retired aggregate's state stays frozen.
+void MergeWorkerInto(const SetSpec& set, const LocalGroups& lg,
+                     GlobalGroups* global) {
   for (size_t l = 0; l < lg.rep_row.size(); ++l) {
     int32_t gid;
     if (set.dense_col) {
@@ -534,7 +545,7 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
       }
       gid = it->second;
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
+    for (uint32_t j : set.live_aggs) {
       global->states[j][gid].Merge(lg.states[j][l]);
     }
   }
@@ -545,7 +556,7 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
 // the scalar path's lazy creation, so global group ids (and therefore the
 // float merge order) are identical whichever inner loop ran. That is what
 // makes dense and hash paths bit-identical, not merely close.
-void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
+void MergeDenseInto(const SetSpec& set, const vec::DenseAggTable& t,
                     GlobalGroups* global) {
   for (size_t i = 0; i < t.touched.size(); ++i) {
     const uint32_t slot = t.touched[i];
@@ -555,9 +566,8 @@ void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
       global->rep_row.push_back(t.rep_row[i]);
       for (auto& per_agg : global->states) per_agg.emplace_back();
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
-      global->states[j][slot_gid].Merge(
-          t.slab(static_cast<uint32_t>(j))[slot]);
+    for (uint32_t j : set.live_aggs) {
+      global->states[j][slot_gid].Merge(t.slab(j)[slot]);
     }
   }
 }
@@ -800,10 +810,15 @@ class SharedScanState::Impl {
                                masks_.PredicateMask(agg.filter.get()));
         spec.aggs.push_back(rt);
       }
+      for (SetSpec& set : spec.sets) {
+        set.live_aggs.resize(spec.aggs.size());
+        for (size_t j = 0; j < spec.aggs.size(); ++j) {
+          set.live_aggs[j] = static_cast<uint32_t>(j);
+        }
+        total_agg_units_ += spec.aggs.size();
+      }
     }
 
-    active_.assign(queries_.size(), 1);
-    scan_active_.assign(queries_.size(), 1);
     globals_.resize(queries_.size());
     for (size_t q = 0; q < queries_.size(); ++q) {
       globals_[q].resize(specs_[q].sets.size());
@@ -825,7 +840,6 @@ class SharedScanState::Impl {
       cache_keys_.resize(queries_.size());
       for (size_t q = 0; q < queries_.size(); ++q) {
         cache_keys_[q].resize(specs_[q].sets.size());
-        bool all_adopted = true;
         for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
           cache_keys_[q][s] =
               PartialAggCacheKey(table_, table_version_, queries_[q], s);
@@ -834,7 +848,6 @@ class SharedScanState::Impl {
           if (entry == nullptr ||
               entry->states.size() != specs_[q].aggs.size()) {
             ++cache_misses_;
-            all_adopted = false;
             continue;
           }
           ++cache_hits_;
@@ -842,7 +855,6 @@ class SharedScanState::Impl {
           globals_[q][s].states = entry->states;
           specs_[q].sets[s].adopted = true;
         }
-        if (all_adopted) scan_active_[q] = 0;
       }
     }
     return Status::OK();
@@ -933,26 +945,63 @@ class SharedScanState::Impl {
   size_t num_queries() const { return queries_.size(); }
   const std::vector<GroupingSetsQuery>& queries() const { return queries_; }
   size_t rows_consumed() const { return rows_consumed_; }
-  bool query_active(size_t q) const { return active_[q] != 0; }
 
-  size_t active_queries() const {
-    return static_cast<size_t>(
-        std::count(active_.begin(), active_.end(), uint8_t{1}));
+  /// A query is active while any of its sets holds a live aggregate.
+  bool query_active(size_t q) const {
+    return std::any_of(
+        specs_[q].sets.begin(), specs_[q].sets.end(),
+        [](const SetSpec& set) { return !set.live_aggs.empty(); });
   }
 
-  /// Queries the scan still visits rows for: active and not fully
-  /// cache-adopted.
-  size_t scan_active_queries() const {
-    return static_cast<size_t>(
-        std::count(scan_active_.begin(), scan_active_.end(), uint8_t{1}));
+  size_t active_queries() const {
+    size_t n = 0;
+    for (size_t q = 0; q < specs_.size(); ++q) n += query_active(q) ? 1 : 0;
+    return n;
+  }
+
+  /// True while workers still visit rows for query q: some set of q is
+  /// live and not cache-adopted.
+  bool query_scanned(size_t q) const {
+    return std::any_of(specs_[q].sets.begin(), specs_[q].sets.end(), Scanned);
+  }
+
+  /// Live (set, aggregate) pairs the scan still accumulates: the per-row
+  /// work unit behind adaptive morsel sizing and engine.scan.agg_rows.
+  size_t scanned_agg_units() const {
+    size_t units = 0;
+    for (const QuerySpec& spec : specs_) {
+      for (const SetSpec& set : spec.sets) {
+        if (Scanned(set)) units += set.live_aggs.size();
+      }
+    }
+    return units;
+  }
+
+  Status RetireAggregate(size_t q, size_t s, size_t j) {
+    if (q >= queries_.size() || s >= specs_[q].sets.size() ||
+        j >= specs_[q].aggs.size()) {
+      return Status::InvalidArgument("aggregate index out of range");
+    }
+    std::vector<uint32_t>& live = specs_[q].sets[s].live_aggs;
+    auto it = std::find(live.begin(), live.end(), static_cast<uint32_t>(j));
+    if (it == live.end()) return Status::OK();
+    live.erase(it);
+    static obs::Counter* retired =
+        obs::Registry::Global().GetCounter("engine.pruning.aggs_retired");
+    retired->Add();
+    return Status::OK();
   }
 
   Status DeactivateQuery(size_t q) {
     if (q >= queries_.size()) {
       return Status::InvalidArgument("query index out of range");
     }
-    active_[q] = 0;
-    scan_active_[q] = 0;
+    for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
+      while (!specs_[q].sets[s].live_aggs.empty()) {
+        SEEDB_RETURN_IF_ERROR(
+            RetireAggregate(q, s, specs_[q].sets[s].live_aggs.back()));
+      }
+    }
     return Status::OK();
   }
 
@@ -988,14 +1037,16 @@ class SharedScanState::Impl {
     // Adaptive mode re-derives the morsel size per phase: from the phase's
     // own row range (phases are slices of the table; sizing them off the
     // whole table would make early phases one giant morsel) scaled up by the
-    // fraction of queries already retired — each retired query cuts
-    // per-morsel work, so surviving phases take proportionally coarser
-    // morsels instead of over-scheduling the pool.
+    // fraction of (set, aggregate) pairs no longer scanned — each retired or
+    // adopted pair cuts per-morsel work, so surviving phases take
+    // proportionally coarser morsels instead of over-scheduling the pool.
+    const size_t agg_units = scanned_agg_units();
     size_t morsel_rows = morsel_rows_;
     if (adaptive_morsels_) {
       const size_t base = AdaptiveMorselRows(row_end - row_begin, threads_);
-      const size_t live = std::max<size_t>(1, scan_active_queries());
-      const size_t coarse = base * std::max<size_t>(1, specs_.size() / live);
+      const size_t live = std::max<size_t>(1, agg_units);
+      const size_t coarse =
+          base * std::max<size_t>(1, total_agg_units_ / live);
       // Never coarser than one morsel per worker (while rows allow it).
       const size_t per_worker =
           (row_end - row_begin + threads_ - 1) / std::max<size_t>(1, threads_);
@@ -1009,10 +1060,10 @@ class SharedScanState::Impl {
     for (size_t m = 0; m < num_morsels; ++m) all[m] = m;
     std::vector<uint8_t> completed(num_morsels, 0);
     size_t done = num_morsels;
-    if (scan_active_queries() > 0) {
+    if (agg_units > 0) {
       done = ScanMorsels(all, row_begin, row_end, morsel_rows, &completed);
     } else {
-      // Every query was either cache-adopted or retired: the phase is a
+      // Every set was either cache-adopted or retired: the phase is a
       // no-op over the row range, advancing rows_consumed_ without touching
       // a single row (rows_scanned stays put — that is the cache's win).
       std::fill(completed.begin(), completed.end(), uint8_t{1});
@@ -1023,14 +1074,14 @@ class SharedScanState::Impl {
         done < num_morsels;
 
     // Rows visited this phase: the largest per-query sample-mask count among
-    // active queries (each distinct mask counted once). Under cancellation,
+    // scanned queries (each distinct mask counted once). Under cancellation,
     // scale by the fraction of morsels that actually completed.
     size_t phase_rows = 0;
     // Distinct sample masks per batch are few (MaskCache dedups by pointer),
     // so a flat vector with linear probes beats a node-based map here.
     std::vector<std::pair<const std::vector<uint8_t>*, size_t>> mask_counts;
     for (size_t q = 0; q < specs_.size(); ++q) {
-      if (!scan_active_[q]) continue;
+      if (!query_scanned(q)) continue;
       const std::vector<uint8_t>* sample = specs_[q].sample_mask;
       if (sample == nullptr) {
         phase_rows = std::max(phase_rows, row_end - row_begin);
@@ -1131,7 +1182,7 @@ class SharedScanState::Impl {
   // the number of morsels actually completed (less than ids.size() only when
   // the cancel token fired). The merge runs even when cut short: completed
   // morsels are a consistent (if non-prefix) row subset shared by every
-  // query, exactly what a partial-result estimate wants.
+  // scanned set, exactly what a partial-result estimate wants.
   size_t ScanMorsels(const std::vector<size_t>& ids, size_t row_begin,
                      size_t row_end, size_t morsel_rows,
                      std::vector<uint8_t>* completed) {
@@ -1142,7 +1193,7 @@ class SharedScanState::Impl {
     // the scan's lifetime instead of once per phase.
     if (worker_states_.size() < threads) worker_states_.resize(threads);
     for (size_t t = 0; t < threads; ++t) {
-      PrepareWorkerState(specs_, scan_active_, &worker_states_[t]);
+      PrepareWorkerState(specs_, &worker_states_[t]);
     }
 
     std::atomic<size_t> next_morsel{0};
@@ -1152,10 +1203,9 @@ class SharedScanState::Impl {
     const bool record_spans = obs::TraceRecorder::ShouldTrace(trace_);
     if (threads == 1) {
       SEEDB_TRACE_SPAN_IF(worker_span, "scan.worker", 0, record_spans);
-      WorkerLoop(specs_, recipes_, scan_active_, row_begin, row_end,
-                 morsel_rows, ids, use_simd_, &next_morsel, cancel_,
-                 &morsels_done, &vec_morsels, &simd_morsels, completed,
-                 &worker_states_[0]);
+      WorkerLoop(specs_, recipes_, row_begin, row_end, morsel_rows, ids,
+                 use_simd_, &next_morsel, cancel_, &morsels_done, &vec_morsels,
+                 &simd_morsels, completed, &worker_states_[0]);
     } else {
       // The pool persists across phases — spawning threads per phase would
       // bill their creation to every phase_seconds measurement.
@@ -1169,10 +1219,9 @@ class SharedScanState::Impl {
                                          &vec_morsels, &simd_morsels, completed,
                                          record_spans, state] {
           SEEDB_TRACE_SPAN_IF(worker_span, "scan.worker", 0, record_spans);
-          WorkerLoop(specs_, recipes_, scan_active_, row_begin, row_end,
-                     morsel_rows, ids, use_simd_, &next_morsel, cancel_,
-                     &morsels_done, &vec_morsels, &simd_morsels, completed,
-                     state);
+          WorkerLoop(specs_, recipes_, row_begin, row_end, morsel_rows, ids,
+                     use_simd_, &next_morsel, cancel_, &morsels_done,
+                     &vec_morsels, &simd_morsels, completed, state);
         }));
       }
       for (auto& f : futures) f.get();
@@ -1180,34 +1229,51 @@ class SharedScanState::Impl {
 
     SEEDB_TRACE_SPAN_IF(merge_span, "scan.merge", 0, record_spans);
     for (size_t q = 0; q < specs_.size(); ++q) {
-      if (!scan_active_[q]) continue;
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
-        if (specs_[q].sets[s].adopted) continue;
+        const SetSpec& set = specs_[q].sets[s];
+        if (!Scanned(set)) continue;
         for (size_t t = 0; t < threads; ++t) {
           const WorkerState& worker = worker_states_[t];
-          if (specs_[q].sets[s].vectorized) {
-            MergeDenseInto(specs_[q].aggs.size(), worker[q][s].dense,
-                           &globals_[q][s]);
+          if (set.vectorized) {
+            MergeDenseInto(set, worker[q][s].dense, &globals_[q][s]);
           } else {
-            MergeWorkerInto(specs_[q].sets[s], specs_[q].aggs.size(),
-                            worker[q][s].lg, &globals_[q][s]);
+            MergeWorkerInto(set, worker[q][s].lg, &globals_[q][s]);
           }
         }
       }
     }
+    // Accumulation work this pass: rows of every completed morsel times the
+    // live (set, aggregate) pairs each of those rows fed.
+    size_t pass_rows = 0;
+    for (size_t m : ids) {
+      if (!(*completed)[m]) continue;
+      const size_t lo = row_begin + m * morsel_rows;
+      pass_rows += std::min(row_end, lo + morsel_rows) - lo;
+    }
+    static obs::Counter* obs_agg_rows =
+        obs::Registry::Global().GetCounter("engine.scan.agg_rows");
+    obs_agg_rows->Add(pass_rows * scanned_agg_units());
     threads_used_ = std::max(threads_used_, threads);
     vectorized_morsels_ += vec_morsels.load(std::memory_order_relaxed);
     simd_morsels_ += simd_morsels.load(std::memory_order_relaxed);
     return morsels_done.load(std::memory_order_relaxed);
   }
 
+  // Sets with no live aggregate come back as empty placeholder tables (no
+  // columns), so result indices keep lining up with grouping sets — unless
+  // the whole query is retired, whose frozen state stays inspectable.
   Result<std::vector<Table>> PartialResults(size_t q) const {
     if (q >= queries_.size()) {
       return Status::InvalidArgument("query index out of range");
     }
+    const bool retired = !query_active(q);
     std::vector<Table> results;
     results.reserve(specs_[q].sets.size());
     for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
+      if (!retired && specs_[q].sets[s].live_aggs.empty()) {
+        results.push_back(Table(Schema()));
+        continue;
+      }
       SEEDB_ASSIGN_OR_RETURN(
           Table out, MaterializeSet(table_, queries_[q], s, specs_[q].sets[s],
                                     globals_[q][s]));
@@ -1221,7 +1287,7 @@ class SharedScanState::Impl {
     PublishToCache();
     std::vector<std::vector<Table>> results(queries_.size());
     for (size_t q = 0; q < queries_.size(); ++q) {
-      if (!active_[q]) continue;  // retired queries yield no tables
+      if (!query_active(q)) continue;  // retired queries yield no tables
       SEEDB_ASSIGN_OR_RETURN(results[q], PartialResults(q));
     }
     return results;
@@ -1229,18 +1295,22 @@ class SharedScanState::Impl {
 
   // Publishes every scanned (query, set) pair's merged state to the
   // cross-session cache — only when the scan covered the whole table
-  // uncancelled and only for queries that stayed active throughout (a
-  // retired query's state stops at its retirement phase and must never be
-  // adopted as final). Adopted pairs are skipped: they are already cached.
+  // uncancelled and only for pairs whose every aggregate stayed live
+  // throughout (a retired aggregate's state stops at its retirement phase
+  // and must never be adopted as final; retirement is permanent, so a full
+  // live list now means full for the whole scan). Adopted pairs are
+  // skipped: they are already cached.
   void PublishToCache() {
     if (cache_ == nullptr || cancelled_ ||
         rows_consumed_ != table_.num_rows()) {
       return;
     }
     for (size_t q = 0; q < queries_.size(); ++q) {
-      if (!active_[q]) continue;
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
-        if (specs_[q].sets[s].adopted) continue;
+        const SetSpec& set = specs_[q].sets[s];
+        if (set.adopted || set.live_aggs.size() != specs_[q].aggs.size()) {
+          continue;
+        }
         CachedPartialAgg entry;
         entry.rep_row = globals_[q][s].rep_row;
         entry.states = globals_[q][s].states;
@@ -1303,9 +1373,8 @@ class SharedScanState::Impl {
   /// QuerySpec::recipe; deduplicated, shared across queries.
   std::vector<SelRecipe> recipes_;
   bool use_simd_ = false;
-  std::vector<uint8_t> active_;
-  /// active_ minus fully cache-adopted queries: the rows workers visit.
-  std::vector<uint8_t> scan_active_;
+  /// (set, aggregate) pairs across the whole batch, live or not.
+  size_t total_agg_units_ = 0;
   /// Cross-session cache wiring; keys are precomputed per (query, set) at
   /// Init (empty when cache_ is null).
   PartialAggCache* cache_ = nullptr;
@@ -1384,6 +1453,10 @@ size_t SharedScanState::active_queries() const {
 }
 Status SharedScanState::DeactivateQuery(size_t q) {
   return impl_->DeactivateQuery(q);
+}
+Status SharedScanState::RetireAggregate(size_t q, size_t set,
+                                        size_t aggregate) {
+  return impl_->RetireAggregate(q, set, aggregate);
 }
 
 Result<std::vector<Table>> SharedScanState::PartialResults(size_t q) const {

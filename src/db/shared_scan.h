@@ -22,9 +22,12 @@
 //     scans one row-range slice and folds it into persistent merged state,
 //     so a plan executes as N sequential phases. Between phases the caller
 //     can read un-finalized per-query partials (PartialResults) and retire
-//     queries whose views lost contention (DeactivateQuery) — the substrate
-//     for the paper's §3.3 confidence-interval / multi-armed-bandit pruning
-//     (core/online_pruning.h).
+//     the (query, grouping set, aggregate) triples no surviving view reads
+//     any more (RetireAggregate; DeactivateQuery retires a whole query) —
+//     the substrate for the paper's §3.3 confidence-interval /
+//     multi-armed-bandit pruning (core/online_pruning.h). A grouping set
+//     whose every aggregate is retired drops out of the scan entirely: no
+//     group ids, no accumulation, no merge, no materialization.
 //
 // Result shape and values are identical to running every query through
 // ExecuteGroupingSets independently (per-group sums may differ by float
@@ -52,9 +55,10 @@ struct SharedScanOptions {
   size_t num_threads = 0;
   /// Rows per morsel (the work-stealing unit). 0 = adaptive: derived from
   /// row and thread count via AdaptiveMorselRows() — re-derived at every
-  /// phase start from the phase's row range and the fraction of queries
-  /// still active — so small tables (and late, mostly-pruned phases) stop
-  /// over-scheduling while large ones keep stealing granularity.
+  /// phase start from the phase's row range and the fraction of (grouping
+  /// set, aggregate) pairs still scanned — so small tables (and late,
+  /// mostly-pruned phases) stop over-scheduling while large ones keep
+  /// stealing granularity.
   size_t morsel_rows = 0;
   /// Cooperative cancellation token, observed at morsel boundaries: once it
   /// reads true, workers stop claiming morsels (each in-flight morsel
@@ -84,8 +88,9 @@ struct SharedScanOptions {
   /// With a cache, Init() partitions the batch's (query, grouping set)
   /// pairs into hits — merged states adopted directly, never scanned — and
   /// misses, which scan as usual and are published back at FinalResults()
-  /// when the scan covered the whole table uncancelled. The pointee must
-  /// outlive the scan state.
+  /// when the scan covered the whole table uncancelled and none of the
+  /// pair's aggregates was retired. The pointee must outlive the scan
+  /// state.
   PartialAggCache* cache = nullptr;
   /// Catalog version of the scanned table (db::Catalog::TableVersion),
   /// embedded in every cache key so stale entries can never be adopted.
@@ -110,9 +115,9 @@ size_t AdaptiveMorselRows(size_t num_rows, size_t num_threads);
 
 struct SharedScanStats {
   /// Rows visited by the fused pass(es): per phase, the largest sample-mask
-  /// count among still-active queries (the whole batch shares one pass, so
-  /// rows are not re-counted per query; rows behind retired queries are not
-  /// re-counted either).
+  /// count among queries with a set still scanned (the whole batch shares
+  /// one pass, so rows are not re-counted per query; rows behind retired
+  /// queries are not re-counted either).
   size_t rows_scanned = 0;
   /// Groups materialized across all queries and grouping sets.
   size_t total_groups = 0;
@@ -138,7 +143,7 @@ struct SharedScanStats {
   size_t phases = 0;
   /// Morsel size the most recent phase resolved to (equals the configured
   /// morsel_rows unless adaptive sizing is on, which coarsens morsels as
-  /// queries retire).
+  /// (set, aggregate) pairs retire).
   size_t last_phase_morsel_rows = 0;
   /// Distinct selection recipes (fused compares + mask conversions) the
   /// batch resolved to. Queries whose row filters are semantically equal —
@@ -158,9 +163,10 @@ struct SharedScanStats {
 ///   SEEDB_ASSIGN_OR_RETURN(auto scan, SharedScanState::Create(t, qs, opts));
 ///   scan.RunPhase(0, n/2);              // first half of the table
 ///   scan.PartialResults(q);             // un-finalized per-query partials
-///   scan.DeactivateQuery(q);            // retire a low-utility query
-///   scan.RunPhase(n/2, n);              // remaining rows, survivors only
-///   scan.FinalResults();                // materialize survivors
+///   scan.RetireAggregate(q, s, j);      // no live view reads (q, s, j)
+///   scan.DeactivateQuery(q);            // retire every aggregate of q
+///   scan.RunPhase(n/2, n);              // remaining rows, live pairs only
+///   scan.FinalResults();                // materialize sets still live
 ///
 /// Phases must be disjoint and strictly forward (row_begin == rows of every
 /// previous phase combined); results after scanning [0, n) are exactly
@@ -205,20 +211,33 @@ class SharedScanState {
   /// already finalized.
   Status ResumeAfterCancel();
 
+  /// True while any grouping set of query `q` holds a live aggregate.
   bool query_active(size_t q) const;
   size_t active_queries() const;
-  /// Retires query `q`: later phases skip it and FinalResults() leaves its
-  /// slot empty. Idempotent.
+
+  /// Retires aggregate `aggregate` of grouping set `set` of query `q`:
+  /// later phases neither accumulate nor merge it, so its merged state
+  /// stays frozen at the rows seen so far, and the (q, set) pair is no
+  /// longer published to the result cache. Every other (set, aggregate)
+  /// accumulates exactly as before. Once a set has no live aggregate left
+  /// it is not scanned at all. Idempotent; permanent.
+  Status RetireAggregate(size_t q, size_t set, size_t aggregate);
+  /// Retires every aggregate of query `q`: later phases skip it and
+  /// FinalResults() leaves its slot empty. Idempotent.
   Status DeactivateQuery(size_t q);
 
   /// Materializes query q's current partial results — same shape as the
   /// final results, computed from the rows seen so far, without finalizing
-  /// the scan. Valid for retired queries (their state is frozen).
+  /// the scan. A set with no live aggregate comes back as an empty
+  /// placeholder table (no columns) so result indices still match grouping
+  /// sets; a fully retired query instead materializes all of its frozen
+  /// state.
   Result<std::vector<Table>> PartialResults(size_t q) const;
 
-  /// Materializes every query's results from the merged state. Retired
-  /// queries yield an empty result-set vector. The state stays readable but
-  /// further phases are rejected.
+  /// Materializes every active query's results from the merged state, with
+  /// the same placeholders as PartialResults(). Retired queries yield an
+  /// empty result-set vector. The state stays readable but further phases
+  /// are rejected.
   Result<std::vector<std::vector<Table>>> FinalResults();
 
   SharedScanStats stats() const;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,57 @@ TEST_F(CacheDifferentialTest,
     db::Engine reference(&catalog_);
     ExpectBitIdentical(Run(&reference, request), cold);
   }
+}
+
+// Under set-level retirement a pruned run publishes exactly the grouping
+// sets it scanned to the end with every aggregate live. A CI run that
+// retires some dimensions' views outright (and thins others) leaves those
+// sets unpublished: the warm rerun misses them, adopts the rest, and still
+// answers bit-identically.
+TEST_F(CacheDifferentialTest, PrunedRunPublishesOnlyFullyScannedSets) {
+  // One measure, so each dimension carries three views: the CI pruner
+  // retires one dimension's views outright, thins two more and leaves the
+  // fourth untouched.
+  auto dataset = data::GenerateSynthetic(
+      data::SyntheticSpec::Simple(4000, 5, 1, 8, 21));
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  ASSERT_TRUE(catalog_.AddTable("synth1", std::move(dataset->table)).ok());
+  OnlinePruningOptions pruning;
+  pruning.num_phases = 8;
+  pruning.pruner = OnlinePruner::kConfidenceInterval;
+  pruning.delta = 0.5;
+  pruning.utility_range = 0.1;
+  SeeDBRequest request("synth1");
+  request.Where(dataset->selection)
+      .WithTopK(4)
+      .WithBottomK(1000)
+      .WithParallelism(1)
+      .WithOnlinePruning(pruning);
+
+  db::Engine engine(&catalog_);
+  engine.EnableResultCache(64 * 1024 * 1024);
+  const RecommendationSet cold = Run(&engine, request);
+  ASSERT_EQ(cold.profile.queries_issued, 1u);  // one multi-set query
+  std::set<std::string> dims, touched, survived;
+  for (const Recommendation& r : cold.low_utility_views) {
+    dims.insert(r.view().dimension);
+    survived.insert(r.view().dimension);
+  }
+  for (const OnlinePrunedView& p : cold.online_pruned_views) {
+    dims.insert(p.view.dimension);
+    touched.insert(p.view.dimension);
+  }
+  size_t whole_sets_retired = 0;
+  for (const std::string& d : touched) whole_sets_retired += !survived.count(d);
+  ASSERT_GT(whole_sets_retired, 0u) << "no set retired outright";
+  ASSERT_LT(touched.size(), dims.size()) << "no set scanned in full";
+
+  const RecommendationSet warm = Run(&engine, request);
+  EXPECT_EQ(warm.profile.cache_misses, touched.size());
+  EXPECT_EQ(warm.profile.cache_hits, dims.size() - touched.size());
+  ExpectBitIdentical(warm, cold);
+  db::Engine reference(&catalog_);
+  ExpectBitIdentical(Run(&reference, request), cold);
 }
 
 TEST_F(CacheDifferentialTest, FullyWarmRunScansNoRows) {

@@ -713,5 +713,140 @@ TEST(SharedScanStateTest, AdaptiveMorselsCoarsenAsQueriesRetire) {
   ExpectTablesMatch((*final_results)[0][0], (*expected)[0], "survivor");
 }
 
+// --- Per-(set, aggregate) retirement. ---
+
+// Column `col` of `got` equals `want`'s bit for bit (doubles compared with
+// ==, not near: live aggregates must accumulate exactly as before).
+void ExpectColumnIdentical(const Table& got, const Table& want, size_t col,
+                           const std::string& label) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << label;
+  for (size_t r = 0; r < got.num_rows(); ++r) {
+    EXPECT_EQ(got.ValueAt(r, 0), want.ValueAt(r, 0)) << label << " key " << r;
+    EXPECT_EQ(got.ValueAt(r, col), want.ValueAt(r, col))
+        << label << " row " << r;
+  }
+}
+
+class AggregateRetirementTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    auto dataset = data::GenerateSynthetic(
+        data::SyntheticSpec::Simple(8000, 3, 2, 6, 17));
+    ASSERT_TRUE(dataset.ok());
+    table_ = std::make_unique<Table>(std::move(dataset->table));
+    query_.table = "synthetic";
+    query_.grouping_sets = {{"dim0"}, {"dim1"}, {"dim2"}};
+    query_.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m0"),
+                         AggregateSpec::Count("n"),
+                         AggregateSpec::Make(AggregateFunction::kSum, "m1"),
+                         AggregateSpec::Make(AggregateFunction::kMax, "m0")};
+    options_.num_threads = 1;
+    options_.morsel_rows = 512;
+    options_.enable_vectorized = GetParam();
+  }
+
+  // Runs the three phases [0, 3000), [3000, 6000), [6000, 8000); `retire`
+  // runs after the first.
+  template <typename Retire>
+  SharedScanState Scan(const SharedScanOptions& options, Retire retire) {
+    auto state = SharedScanState::Create(*table_, {query_}, options);
+    EXPECT_TRUE(state.ok()) << state.status();
+    EXPECT_TRUE(state->RunPhase(0, 3000).ok());
+    retire(&*state);
+    EXPECT_TRUE(state->RunPhase(3000, 6000).ok());
+    EXPECT_TRUE(state->RunPhase(6000, table_->num_rows()).ok());
+    return std::move(*state);
+  }
+
+  std::unique_ptr<Table> table_;
+  GroupingSetsQuery query_;
+  SharedScanOptions options_;
+};
+
+// Retiring (set 1, aggregate 0) freezes exactly that state; retiring every
+// aggregate of set 2 drops the set from the scan and leaves an empty
+// placeholder; everything else is bit-identical to an unretired scan.
+TEST_P(AggregateRetirementTest, RetiredStateFreezesAndLiveStateIsUntouched) {
+  SharedScanState baseline = Scan(options_, [](SharedScanState*) {});
+  auto expected = baseline.FinalResults();
+  ASSERT_TRUE(expected.ok());
+
+  std::vector<Table> at_retirement;
+  SharedScanState retired = Scan(options_, [&](SharedScanState* state) {
+    at_retirement = state->PartialResults(0).ValueOrDie();
+    ASSERT_TRUE(state->RetireAggregate(0, 1, 0).ok());
+    ASSERT_TRUE(state->RetireAggregate(0, 1, 0).ok());  // idempotent
+    for (size_t j = 0; j < 4; ++j) {
+      ASSERT_TRUE(state->RetireAggregate(0, 2, j).ok());
+    }
+    EXPECT_FALSE(state->RetireAggregate(0, 3, 0).ok());
+    EXPECT_FALSE(state->RetireAggregate(0, 0, 4).ok());
+    EXPECT_TRUE(state->query_active(0));
+  });
+
+  auto partial = retired.PartialResults(0);
+  ASSERT_TRUE(partial.ok());
+  ASSERT_EQ(partial->size(), 3u);
+  EXPECT_EQ((*partial)[2].num_columns(), 0u);  // dead set: placeholder
+  auto final_results = retired.FinalResults();
+  ASSERT_TRUE(final_results.ok());
+  ASSERT_EQ((*final_results)[0].size(), 3u);
+  const std::vector<Table>& got = (*final_results)[0];
+  EXPECT_EQ(got[2].num_columns(), 0u);
+  EXPECT_EQ(got[2].num_rows(), 0u);
+
+  // Set 0 never lost an aggregate.
+  for (size_t col = 1; col <= 4; ++col) {
+    ExpectColumnIdentical(got[0], (*expected)[0][0], col, "set 0");
+  }
+  // Set 1: aggregate 0 (column 1) is frozen at the first phase's rows...
+  ExpectColumnIdentical(got[1], at_retirement[1], 1, "frozen");
+  // ...and really did stop: the unretired scan kept adding to it.
+  bool moved = false;
+  for (size_t r = 0; r < got[1].num_rows(); ++r) {
+    moved |= !(got[1].ValueAt(r, 1) == (*expected)[0][1].ValueAt(r, 1));
+  }
+  EXPECT_TRUE(moved);
+  // ...while its other aggregates match the unretired scan bit for bit.
+  for (size_t col = 2; col <= 4; ++col) {
+    ExpectColumnIdentical(got[1], (*expected)[0][1], col, "set 1 live");
+  }
+}
+
+// Only (query, set) pairs whose every aggregate stayed live are published;
+// a later scan over the same cache adopts those and re-scans the rest.
+TEST_P(AggregateRetirementTest, PublishesOnlyFullyLiveSets) {
+  PartialAggCache cache(64 * 1024 * 1024);
+  SharedScanOptions cached = options_;
+  cached.cache = &cache;
+  SharedScanState first = Scan(cached, [](SharedScanState* state) {
+    ASSERT_TRUE(state->RetireAggregate(0, 1, 3).ok());
+    for (size_t j = 0; j < 4; ++j) {
+      ASSERT_TRUE(state->RetireAggregate(0, 2, j).ok());
+    }
+  });
+  EXPECT_EQ(first.stats().cache_misses, 3u);
+  ASSERT_TRUE(first.FinalResults().ok());
+
+  SharedScanState second = Scan(cached, [](SharedScanState*) {});
+  EXPECT_EQ(second.stats().cache_hits, 1u);    // set 0
+  EXPECT_EQ(second.stats().cache_misses, 2u);  // sets 1 and 2
+  auto warm = second.FinalResults();
+  ASSERT_TRUE(warm.ok());
+
+  SharedScanState baseline = Scan(options_, [](SharedScanState*) {});
+  auto cold = baseline.FinalResults();
+  ASSERT_TRUE(cold.ok());
+  for (size_t set = 0; set < 3; ++set) {
+    for (size_t col = 1; col <= 4; ++col) {
+      ExpectColumnIdentical((*warm)[0][set], (*cold)[0][set], col,
+                            "set " + std::to_string(set));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(VectorizedOnOff, AggregateRetirementTest,
+                         ::testing::Bool());
+
 }  // namespace
 }  // namespace seedb::db
