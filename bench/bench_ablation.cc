@@ -68,7 +68,8 @@ void RunExperiment() {
                 (mask & 1) ? "on" : "off", (mask & 2) ? "on" : "off",
                 (mask & 4) ? "on" : "off", result.profile.queries_issued,
                 result.profile.table_scans,
-                static_cast<unsigned long long>(result.profile.rows_scanned),
+                static_cast<unsigned long long>(
+                    result.profile.scan.rows_scanned),
                 ms, same ? "yes" : "NO");
   }
 
@@ -91,7 +92,7 @@ void RunExperiment() {
                 1e3;
     std::printf("%10.2f %12.2f %13llu\n", fraction, ms,
                 static_cast<unsigned long long>(
-                    result.profile.rows_scanned));
+                    result.profile.scan.rows_scanned));
   }
   // Execution strategy stacked on both ends of the grid: the shared scan
   // fuses whatever the optimizer emits into one pass, so even the

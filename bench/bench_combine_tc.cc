@@ -37,10 +37,8 @@ void RunExperiment() {
       core::SeeDBOptions options;
       options.optimizer = core::OptimizerOptions::Baseline();
       options.optimizer.combine_target_comparison = combine;
-      workload.engine->ResetStats();
       core::RecommendationSet result;
       double ms = bench::MedianSeconds([&] {
-                    workload.engine->ResetStats();
                     result = seedb_engine
                                  .Recommend(workload.table_name,
                                             workload.selection, options)
@@ -51,7 +49,7 @@ void RunExperiment() {
                   combine ? "combined" : "separate",
                   result.profile.queries_issued, result.profile.table_scans,
                   static_cast<unsigned long long>(
-                      result.profile.rows_scanned),
+                      result.profile.scan.rows_scanned),
                   ms);
     }
   }

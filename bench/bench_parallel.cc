@@ -73,7 +73,6 @@ void RunExperiment() {
     exec.strategy = strategy;
     exec.online_pruning.num_phases = phases;
     core::ExecutionReport report;
-    workload.engine->ResetStats();
     double ms =
         bench::MedianSeconds(
             [&] {
@@ -84,9 +83,6 @@ void RunExperiment() {
             },
             2) *
         1e3;
-    db::EngineStatsSnapshot engine_stats = workload.engine->stats();
-    // MedianSeconds ran the plan twice; scans per run is the half.
-    uint64_t scans_per_run = engine_stats.table_scans / 2;
     bool fused = strategy != core::ExecutionStrategy::kPerQuery;
     double unit_ms = (fused ? report.MeanPhaseSeconds()
                             : report.MeanQuerySeconds()) *
@@ -94,14 +90,14 @@ void RunExperiment() {
     std::printf("%20s %9zu %8zu %14.2f %8llu %18.4f\n",
                 core::ExecutionStrategyToString(strategy), threads,
                 report.phases_executed, ms,
-                static_cast<unsigned long long>(scans_per_run), unit_ms);
+                static_cast<unsigned long long>(report.table_scans), unit_ms);
     json.BeginObject()
         .Key("strategy").Value(core::ExecutionStrategyToString(strategy))
         .Key("threads").Value(threads)
         .Key("phases").Value(report.phases_executed)
         .Key("total_ms").Value(ms)
         .Key("mean_unit_ms").Value(unit_ms)
-        .Key("table_scans").Value(scans_per_run)
+        .Key("table_scans").Value(report.table_scans)
         .EndObject();
   };
 

@@ -82,7 +82,8 @@ void RunExperiment() {
     err /= static_cast<double>(full_utilities.size());
     std::printf("%-13s %9.2f %12.2f %12llu %10.2f %12.4f %6zu\n", strategy,
                 fraction, ms,
-                static_cast<unsigned long long>(result.profile.rows_scanned),
+                static_cast<unsigned long long>(
+                    result.profile.scan.rows_scanned),
                 bench::Recall(truth_top, top5), err,
                 bench::RankOf(result, workload.expected_dimension,
                               workload.expected_measure));

@@ -63,7 +63,7 @@ void RunExperiment() {
                       rows, dims, zipf,
                       optimized ? "all-on" : "baseline", ms,
                       static_cast<unsigned long long>(
-                          result.profile.rows_scanned),
+                          result.profile.scan.rows_scanned),
                       result.profile.queries_issued, rank);
         }
       }

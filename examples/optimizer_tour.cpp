@@ -13,7 +13,6 @@ namespace {
 void RunOptions(const char* label, seedb::core::SeeDB* seedb,
                 seedb::data::Workload* w,
                 const seedb::core::SeeDBOptions& options) {
-  w->engine->ResetStats();
   auto result = seedb->Recommend(w->table_name, w->selection, options);
   if (!result.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", label,
@@ -23,7 +22,8 @@ void RunOptions(const char* label, seedb::core::SeeDB* seedb,
   std::printf("%-34s queries=%3zu scans=%3zu rows=%9llu top=%s (%.4f)",
               label, result->profile.queries_issued,
               result->profile.table_scans,
-              static_cast<unsigned long long>(result->profile.rows_scanned),
+              static_cast<unsigned long long>(
+                  result->profile.scan.rows_scanned),
               result->top_views[0].view().Id().c_str(),
               result->top_views[0].utility());
   if (result->profile.phases_executed > 1) {

@@ -119,7 +119,8 @@ int main() {
     std::printf("cancelled=%s; partial ranking from %llu rows still names "
                 "%zu views\n",
                 set.profile.cancelled ? "true" : "false",
-                static_cast<unsigned long long>(set.profile.rows_scanned),
+                static_cast<unsigned long long>(
+                    set.profile.scan.rows_scanned),
                 set.top_views.size());
   }
 

@@ -446,17 +446,10 @@ Result<std::vector<ViewResult>> PhasedPlanExecution::Finish(
     report->cancelled = cancelled_;
     report->total_seconds = finalize_timer.ElapsedSeconds();
     for (double s : phase_seconds_) report->total_seconds += s;
-    // Exact per-run engine work, mirroring what Finalize() just folded into
-    // the engine counters (one scan per batch, every query counted).
+    // Exact per-run engine work: one scan per batch, every query counted.
     report->queries_executed = plan_->queries.size();
     report->table_scans = 1;
-    const db::SharedScanStats scan_stats = session_.stats();
-    report->rows_scanned = scan_stats.rows_scanned;
-    report->vectorized_morsels = scan_stats.vectorized_morsels;
-    report->simd_morsels = scan_stats.simd_morsels;
-    report->agg_state_bytes = scan_stats.agg_state_bytes;
-    report->cache_hits = scan_stats.cache_hits;
-    report->cache_misses = scan_stats.cache_misses;
+    report->scan = session_.stats();
   }
   // A run that stopped before consuming every row (cancelled, or stopped
   // before the first phase) can hold views with no data at all; drop those
@@ -517,17 +510,17 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
   bool cancelled = false;
   bool budget_exceeded = false;
   size_t queries_executed = 0;
-  size_t agg_state_bytes = 0;
   std::vector<double> query_seconds(plan.queries.size(), 0.0);
-  // The per-query analogue of the fused scan's merged-state footprint: all
+  // Each query is its own table pass; the run's record sums them. The
+  // per-query analogue of the fused scan's merged-state footprint: all
   // result groups are retained in the processor until Finish, so the
   // metered unit is the cumulative groups x aggregates x sizeof(AggState)
   // across the queries executed so far.
-  const auto result_bytes = [](const PlannedQuery& pq,
-                               const std::vector<db::Table>& results) {
-    size_t groups = 0;
-    for (const db::Table& t : results) groups += t.num_rows();
-    return groups * pq.query.aggregates.size() * sizeof(db::AggState);
+  db::SharedScanStats scan;
+  const auto account = [&scan](const db::GroupingSetsStats& qstats) {
+    scan.rows_scanned += qstats.rows_scanned;
+    scan.total_groups += qstats.total_groups;
+    scan.agg_state_bytes += qstats.agg_state_bytes;
   };
   if (options.parallelism <= 1) {
     for (size_t i = 0; i < plan.queries.size(); ++i) {
@@ -536,15 +529,16 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
         break;
       }
       Stopwatch qt;
+      db::GroupingSetsStats qstats;
       SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> results,
-                             engine->Execute(plan.queries[i].query));
+                             engine->Execute(plan.queries[i].query, &qstats));
       query_seconds[i] = qt.ElapsedSeconds();
       ++queries_executed;
-      agg_state_bytes += result_bytes(plan.queries[i], results);
+      account(qstats);
       SEEDB_RETURN_IF_ERROR(
           processor.Consume(plan.queries[i], std::move(results)));
       if (options.memory_budget_bytes > 0 &&
-          agg_state_bytes > options.memory_budget_bytes) {
+          scan.agg_state_bytes > options.memory_budget_bytes) {
         budget_exceeded = true;
         break;
       }
@@ -567,22 +561,23 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
         if (budget_exceeded) return;
       }
       Stopwatch qt;
-      auto result = engine->Execute(plan.queries[i].query);
+      db::GroupingSetsStats qstats;
+      auto result = engine->Execute(plan.queries[i].query, &qstats);
       double elapsed = qt.ElapsedSeconds();
       base::MutexLock lock(&mu);
       query_seconds[i] = elapsed;
-      ++queries_executed;
       if (!result.ok()) {
         if (first_error.ok()) first_error = result.status();
         return;
       }
+      ++queries_executed;
+      account(qstats);
       if (first_error.ok()) {
-        agg_state_bytes += result_bytes(plan.queries[i], *result);
         Status s =
             processor.Consume(plan.queries[i], std::move(result).ValueOrDie());
         if (!s.ok()) first_error = s;
         if (options.memory_budget_bytes > 0 &&
-            agg_state_bytes > options.memory_budget_bytes) {
+            scan.agg_state_bytes > options.memory_budget_bytes) {
           budget_exceeded = true;
         }
       }
@@ -602,7 +597,8 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
     report->cancelled = cancelled;
     report->budget_exceeded = budget_exceeded;
     report->queries_executed = queries_executed;
-    report->agg_state_bytes = agg_state_bytes;
+    report->table_scans = queries_executed;
+    report->scan = scan;
   }
   return results;
 }

@@ -125,29 +125,18 @@ struct ExecutionReport {
   /// The run was cut short by ExecutorOptions::cancel; results are partial.
   bool cancelled = false;
   /// Engine work attributable to THIS run, so concurrent runs on one
-  /// engine do not bleed into each other's profiles. The fused strategies
-  /// fill all three exactly (table_scans = 1 per batch); kPerQuery fills
-  /// queries_executed only (table_scans stays 0 — the facade falls back to
-  /// engine-wide counter deltas there).
+  /// engine do not bleed into each other's profiles. The plan's side: the
+  /// queries executed and the table passes they cost (1 per fused batch, 1
+  /// per query under kPerQuery).
   size_t queries_executed = 0;
   size_t table_scans = 0;
-  uint64_t rows_scanned = 0;
-  /// Morsels of the fused pass whose inner loop ran the vectorized kernels
-  /// (db/vec/) for at least one grouping set; 0 under kPerQuery or when
-  /// every set fell back to the hash path.
-  uint64_t vectorized_morsels = 0;
-  /// Of those, morsels that additionally ran the explicit-SIMD kernel tier
-  /// (db/vec/simd/); 0 when the tier is off or unavailable.
-  uint64_t simd_morsels = 0;
-  /// (query, grouping set) pairs this run adopted from / missed in the
-  /// engine's cross-session result cache (db/scan_cache.h). Both 0 under
-  /// kPerQuery or when the engine cache is disabled.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  /// Aggregation-state footprint of the run in bytes: the fused scan's
-  /// merged state, or the cumulative groups x aggregates x sizeof(AggState)
-  /// of per-query results — what memory_budget_bytes is metered against.
-  size_t agg_state_bytes = 0;
+  /// The scan's side: the fused batch's SharedScanStats as-is. kPerQuery
+  /// sums rows_scanned and total_groups over its queries and meters
+  /// agg_state_bytes as the cumulative groups x aggregates x
+  /// sizeof(AggState) of the results retained; its morsel and cache fields
+  /// stay 0. agg_state_bytes is what memory_budget_bytes is metered
+  /// against.
+  db::SharedScanStats scan;
   /// The run stopped before completing every planned unit of work because
   /// the aggregation-state footprint crossed
   /// ExecutorOptions::memory_budget_bytes; results cover the work finished
@@ -252,9 +241,10 @@ class PhasedPlanExecution {
   /// bytes — what a per-session memory budget meters.
   size_t agg_state_bytes() const;
 
-  /// Terminal: finalizes the scan (recording engine stats), consumes every
-  /// surviving view and scores it with the run's metric. After early stop
-  /// or cancellation the utilities are estimates over the rows consumed.
+  /// Terminal: finalizes the scan (feeding the registry totals), consumes
+  /// every surviving view and scores it with the run's metric. After early
+  /// stop or cancellation the utilities are estimates over the rows
+  /// consumed.
   /// `report` (optional) receives the full latency/pruning breakdown.
   Result<std::vector<ViewResult>> Finish(ExecutionReport* report = nullptr);
 

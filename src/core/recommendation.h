@@ -10,6 +10,7 @@
 #include "core/online_pruning.h"
 #include "core/pruning.h"
 #include "core/view_processor.h"
+#include "db/shared_scan.h"
 
 namespace seedb::core {
 
@@ -44,22 +45,12 @@ struct ExecutionProfile {
   size_t examined_view_count = 0;
   /// Phases the fused scan ran (0 under per-query execution).
   size_t phases_executed = 0;
+  /// This run's own engine work (ExecutionReport): the planned queries
+  /// and table passes it issued, and the scan's per-run record — rows,
+  /// vectorized / SIMD morsels, result-cache hits and misses.
   size_t queries_issued = 0;
   size_t table_scans = 0;
-  uint64_t rows_scanned = 0;
-  /// Morsels of the fused scan whose inner loop ran the vectorized kernels
-  /// (db/vec/) — 0 under per-query execution or when every grouping set
-  /// fell back to the hash path.
-  uint64_t vectorized_morsels = 0;
-  /// Of those, morsels that additionally ran the explicit-SIMD kernel tier
-  /// (db/vec/simd/) — 0 when the tier is off, built scalar, or the CPU
-  /// lacks the ISA.
-  uint64_t simd_morsels = 0;
-  /// (query, grouping set) pairs this run adopted from / missed in the
-  /// engine's cross-session result cache (db/scan_cache.h) — both 0 when
-  /// the cache is disabled or under per-query execution.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
+  db::SharedScanStats scan;
   /// The scan stopped before the last requested phase because the top-k was
   /// CI-stable; utilities are estimates over the rows seen.
   bool early_stopped = false;

@@ -173,7 +173,9 @@ struct ProvisionalView {
   /// consumed the whole table).
   double utility = 0.0;
   /// Hoeffding confidence bounds (utility -/+ eps(m)); +/-infinity when the
-  /// interval is undefined (delta <= 0 or a non-phased strategy).
+  /// interval is undefined (delta <= 0). The non-phased strategies yield
+  /// one final, exact ranking, so their bounds are zero-width (lower =
+  /// upper = utility).
   double lower = 0.0;
   double upper = 0.0;
 };
@@ -307,7 +309,6 @@ class RecommendationSession {
   // Planning products, fixed at Open() time.
   PruningReport static_pruning_;
   std::unique_ptr<ExecutionPlan> plan_;
-  db::EngineStatsSnapshot stats_before_;
   double planning_seconds_ = 0.0;
   /// Rows of the table the plan scans (the sample when materialized
   /// sampling redirected it).

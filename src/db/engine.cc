@@ -2,36 +2,9 @@
 
 #include "db/sql/parser.h"
 #include "obs/metrics.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace seedb::db {
-
-std::string EngineStatsSnapshot::ToString() const {
-  std::string s = StringPrintf(
-      "queries=%llu scans=%llu shared_batches=%llu vec_morsels=%llu "
-      "simd_morsels=%llu rows_scanned=%llu groups=%llu peak_agg_state=%lluB "
-      "exec=%.3fms",
-      static_cast<unsigned long long>(queries_executed),
-      static_cast<unsigned long long>(table_scans),
-      static_cast<unsigned long long>(shared_scan_batches),
-      static_cast<unsigned long long>(vectorized_morsels),
-      static_cast<unsigned long long>(simd_morsels),
-      static_cast<unsigned long long>(rows_scanned),
-      static_cast<unsigned long long>(groups_created),
-      static_cast<unsigned long long>(peak_agg_state_bytes),
-      static_cast<double>(total_exec_micros) / 1000.0);
-  if (result_cache_enabled) {
-    s += StringPrintf(
-        " cache_hits=%llu cache_misses=%llu cache_bytes=%lluB "
-        "cache_evictions=%llu",
-        static_cast<unsigned long long>(cache_hits),
-        static_cast<unsigned long long>(cache_misses),
-        static_cast<unsigned long long>(cache_bytes),
-        static_cast<unsigned long long>(cache_evictions));
-  }
-  return s;
-}
 
 void Engine::RecordAccess(const std::string& table,
                           const std::vector<std::string>& group_cols,
@@ -48,12 +21,23 @@ void Engine::RecordAccess(const std::string& table,
 
 namespace {
 
-void UpdatePeak(std::atomic<uint64_t>* peak, uint64_t candidate) {
-  uint64_t cur = peak->load(std::memory_order_relaxed);
-  while (candidate > cur &&
-         !peak->compare_exchange_weak(cur, candidate,
-                                      std::memory_order_relaxed)) {
-  }
+// The standalone (per-query) path never enters the shared-scan machinery,
+// so it feeds the registry totals here. engine.phase.latency_us has no
+// analogue (there are no phases); engine.query.latency_us is its
+// standalone counterpart.
+void RecordStandaloneQuery(uint64_t rows_scanned, uint64_t exec_us) {
+  static obs::Histogram* query_latency =
+      obs::Registry::Global().GetHistogram("engine.query.latency_us");
+  static obs::Counter* queries =
+      obs::Registry::Global().GetCounter("engine.queries");
+  static obs::Counter* table_scans =
+      obs::Registry::Global().GetCounter("engine.table_scans");
+  static obs::Counter* rows =
+      obs::Registry::Global().GetCounter("engine.scan.rows");
+  query_latency->Observe(exec_us);
+  queries->Add();
+  table_scans->Add();
+  rows->Add(rows_scanned);
 }
 
 }  // namespace
@@ -64,49 +48,24 @@ Result<Table> Engine::Execute(const GroupByQuery& query) {
   GroupByStats qstats;
   SEEDB_ASSIGN_OR_RETURN(Table result,
                          ExecuteGroupBy(*table, query, &qstats));
-  queries_executed_.fetch_add(1, std::memory_order_relaxed);
-  table_scans_.fetch_add(1, std::memory_order_relaxed);
-  rows_scanned_.fetch_add(qstats.rows_scanned, std::memory_order_relaxed);
-  groups_created_.fetch_add(qstats.num_groups, std::memory_order_relaxed);
-  UpdatePeak(&peak_agg_state_bytes_, qstats.agg_state_bytes);
-  const uint64_t exec_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  total_exec_micros_.fetch_add(exec_us, std::memory_order_relaxed);
-  // The per-query path never enters the shared-scan machinery, so it feeds
-  // the registry here: engine.phase.latency_us has no analogue (there are
-  // no phases), engine.query.latency_us is its standalone counterpart.
-  static obs::Histogram* query_latency =
-      obs::Registry::Global().GetHistogram("engine.query.latency_us");
-  static obs::Counter* obs_rows =
-      obs::Registry::Global().GetCounter("engine.scan.rows");
-  query_latency->Observe(exec_us);
-  obs_rows->Add(qstats.rows_scanned);
+  RecordStandaloneQuery(qstats.rows_scanned,
+                        static_cast<uint64_t>(timer.ElapsedMicros()));
   RecordAccess(query.table, query.group_by, query.aggregates,
                query.where.get());
   return result;
 }
 
-Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query) {
+Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query,
+                                           GroupingSetsStats* stats) {
   SEEDB_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(query.table));
   Stopwatch timer;
   GroupingSetsStats qstats;
   SEEDB_ASSIGN_OR_RETURN(std::vector<Table> results,
                          ExecuteGroupingSets(*table, query, &qstats));
-  queries_executed_.fetch_add(1, std::memory_order_relaxed);
   // The defining property of GROUPING SETS: one scan regardless of set count.
-  table_scans_.fetch_add(1, std::memory_order_relaxed);
-  rows_scanned_.fetch_add(qstats.rows_scanned, std::memory_order_relaxed);
-  groups_created_.fetch_add(qstats.total_groups, std::memory_order_relaxed);
-  UpdatePeak(&peak_agg_state_bytes_, qstats.agg_state_bytes);
-  const uint64_t exec_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  total_exec_micros_.fetch_add(exec_us, std::memory_order_relaxed);
-  // Same registry feed as the GroupByQuery overload: this is the fused
-  // per-query path (one scan, no phases).
-  static obs::Histogram* query_latency =
-      obs::Registry::Global().GetHistogram("engine.query.latency_us");
-  static obs::Counter* obs_rows =
-      obs::Registry::Global().GetCounter("engine.scan.rows");
-  query_latency->Observe(exec_us);
-  obs_rows->Add(qstats.rows_scanned);
+  RecordStandaloneQuery(qstats.rows_scanned,
+                        static_cast<uint64_t>(timer.ElapsedMicros()));
+  if (stats != nullptr) *stats = qstats;
   std::vector<std::string> group_cols;
   for (const auto& set : query.grouping_sets) {
     group_cols.insert(group_cols.end(), set.begin(), set.end());
@@ -115,50 +74,34 @@ Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query) {
   return results;
 }
 
-Status SharedScanSession::RunPhase(size_t row_begin, size_t row_end) {
-  Stopwatch timer;
-  Status s = state_.RunPhase(row_begin, row_end);
-  exec_micros_ += static_cast<uint64_t>(timer.ElapsedMicros());
-  return s;
-}
-
 Result<std::vector<std::vector<Table>>> SharedScanSession::Finalize() {
   if (finalized_) {
     return Status::Internal("shared-scan session already finalized");
   }
-  Stopwatch timer;
   SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<Table>> results,
                          state_.FinalResults());
-  exec_micros_ += static_cast<uint64_t>(timer.ElapsedMicros());
   finalized_ = true;
-  engine_->RecordSharedBatch(state_.queries(), state_.stats(), exec_micros_);
+  engine_->RecordSharedBatch(state_.queries(), state_.stats());
   return results;
 }
 
 void Engine::RecordSharedBatch(const std::vector<GroupingSetsQuery>& queries,
-                               const SharedScanStats& stats,
-                               uint64_t exec_micros) {
-  queries_executed_.fetch_add(queries.size(), std::memory_order_relaxed);
+                               const SharedScanStats& stats) {
+  static obs::Counter* obs_queries =
+      obs::Registry::Global().GetCounter("engine.queries");
+  static obs::Counter* obs_scans =
+      obs::Registry::Global().GetCounter("engine.table_scans");
+  static obs::Counter* obs_vectorized =
+      obs::Registry::Global().GetCounter("engine.scan.vectorized_morsels");
+  static obs::Counter* obs_simd =
+      obs::Registry::Global().GetCounter("engine.scan.simd_morsels");
+  obs_queries->Add(queries.size());
   // The fused batch is ONE pass over the base table, however many view
   // queries (or phases) it spans — the invariant the shared-scan tests pin
   // down.
-  table_scans_.fetch_add(1, std::memory_order_relaxed);
-  shared_scan_batches_.fetch_add(1, std::memory_order_relaxed);
-  vectorized_morsels_.fetch_add(stats.vectorized_morsels,
-                                std::memory_order_relaxed);
-  simd_morsels_.fetch_add(stats.simd_morsels, std::memory_order_relaxed);
-  rows_scanned_.fetch_add(stats.rows_scanned, std::memory_order_relaxed);
-  groups_created_.fetch_add(stats.total_groups, std::memory_order_relaxed);
-  UpdatePeak(&peak_agg_state_bytes_, stats.agg_state_bytes);
-  total_exec_micros_.fetch_add(exec_micros, std::memory_order_relaxed);
-  cache_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
-  cache_misses_.fetch_add(stats.cache_misses, std::memory_order_relaxed);
-  static obs::Counter* obs_hits =
-      obs::Registry::Global().GetCounter("engine.cache.hits");
-  static obs::Counter* obs_misses =
-      obs::Registry::Global().GetCounter("engine.cache.misses");
-  obs_hits->Add(stats.cache_hits);
-  obs_misses->Add(stats.cache_misses);
+  obs_scans->Add();
+  obs_vectorized->Add(stats.vectorized_morsels);
+  obs_simd->Add(stats.simd_morsels);
   for (const auto& query : queries) {
     std::vector<std::string> group_cols;
     for (const auto& set : query.grouping_sets) {
@@ -218,43 +161,6 @@ Result<Table> Engine::ExecuteSql(const std::string& sql) {
   }
   SEEDB_ASSIGN_OR_RETURN(GroupByQuery q, sql::PlanGroupBy(stmt));
   return Execute(q);
-}
-
-EngineStatsSnapshot Engine::stats() const {
-  EngineStatsSnapshot s;
-  s.queries_executed = queries_executed_.load(std::memory_order_relaxed);
-  s.table_scans = table_scans_.load(std::memory_order_relaxed);
-  s.shared_scan_batches = shared_scan_batches_.load(std::memory_order_relaxed);
-  s.vectorized_morsels = vectorized_morsels_.load(std::memory_order_relaxed);
-  s.simd_morsels = simd_morsels_.load(std::memory_order_relaxed);
-  s.rows_scanned = rows_scanned_.load(std::memory_order_relaxed);
-  s.groups_created = groups_created_.load(std::memory_order_relaxed);
-  s.peak_agg_state_bytes =
-      peak_agg_state_bytes_.load(std::memory_order_relaxed);
-  s.total_exec_micros = total_exec_micros_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  if (cache_ != nullptr) {
-    s.result_cache_enabled = true;
-    const ScanCacheStats cs = cache_->stats();
-    s.cache_bytes = cs.bytes;
-    s.cache_evictions = cs.evictions;
-  }
-  return s;
-}
-
-void Engine::ResetStats() {
-  queries_executed_.store(0, std::memory_order_relaxed);
-  table_scans_.store(0, std::memory_order_relaxed);
-  shared_scan_batches_.store(0, std::memory_order_relaxed);
-  vectorized_morsels_.store(0, std::memory_order_relaxed);
-  simd_morsels_.store(0, std::memory_order_relaxed);
-  rows_scanned_.store(0, std::memory_order_relaxed);
-  groups_created_.store(0, std::memory_order_relaxed);
-  peak_agg_state_bytes_.store(0, std::memory_order_relaxed);
-  total_exec_micros_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace seedb::db

@@ -2,15 +2,16 @@
 // accounting SeeDB's optimizer study measures.
 //
 // Every §3.3 optimization is a claim about scans and shared work. The engine
-// therefore counts observable costs — queries executed, table scans, rows and
-// cells touched, aggregation working memory — so benches and tests can verify
-// e.g. that combining target and comparison views exactly halves scans.
+// therefore counts observable costs in two places, one home per number:
+// per-run figures (rows, groups, morsels, cache traffic, aggregation working
+// memory) in the run's SharedScanStats / GroupingSetsStats, and process-wide
+// totals (engine.queries, engine.table_scans, engine.scan.*, engine.cache.*)
+// in the obs registry. Benches and tests verify e.g. that combining target
+// and comparison views exactly halves scans from either.
 
 #ifndef SEEDB_DB_ENGINE_H_
 #define SEEDB_DB_ENGINE_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,51 +26,17 @@
 
 namespace seedb::db {
 
-/// Plain-value snapshot of the engine's cumulative execution counters.
-struct EngineStatsSnapshot {
-  uint64_t queries_executed = 0;
-  /// Passes over a base table (a GROUPING SETS query is one scan; a whole
-  /// shared-scan batch is one scan regardless of how many queries it fuses).
-  uint64_t table_scans = 0;
-  /// Fused shared-scan batches executed (each contributed one table scan).
-  uint64_t shared_scan_batches = 0;
-  /// Morsels of those batches whose inner loop ran the vectorized kernels
-  /// (db/vec/) for at least one grouping set — 0 when every set fell back
-  /// to the hash path.
-  uint64_t vectorized_morsels = 0;
-  /// Of those, morsels whose vectorized loop additionally ran the
-  /// explicit-SIMD kernel tier (db/vec/simd/) — 0 when the tier is switched
-  /// off, built scalar, or the CPU lacks the ISA.
-  uint64_t simd_morsels = 0;
-  uint64_t rows_scanned = 0;
-  uint64_t groups_created = 0;
-  /// Largest per-query aggregation working set seen.
-  uint64_t peak_agg_state_bytes = 0;
-  uint64_t total_exec_micros = 0;
-  /// Cross-session result cache (EnableResultCache): (query, grouping set)
-  /// pairs adopted from / missed in the cache across all shared batches,
-  /// plus the cache's current footprint and lifetime eviction count. All
-  /// zero — and omitted from ToString() — while the cache is disabled.
-  bool result_cache_enabled = false;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes = 0;
-  uint64_t cache_evictions = 0;
-
-  std::string ToString() const;
-};
-
 class Engine;
 
 /// \brief A fused scan advancing through the table in caller-controlled
-/// phases, with engine stat accounting folded in at Finalize().
+/// phases, with the engine's registry totals fed at Finalize().
 ///
 /// Created by Engine::BeginShared. The phased executor drives it: run a
 /// phase, inspect un-finalized per-query partials, retire the (query,
 /// grouping set, aggregate) triples no surviving view reads, repeat. However
 /// many phases the session runs, the whole batch still records exactly ONE
 /// table scan — phases partition one pass, they do not repeat it. A session
-/// abandoned without Finalize() records nothing.
+/// abandoned without Finalize() counts no query and no table scan.
 class SharedScanSession {
  public:
   SharedScanSession(SharedScanSession&&) noexcept = default;
@@ -82,7 +49,9 @@ class SharedScanSession {
   /// Scans [row_begin, row_end) for every live (grouping set, aggregate)
   /// pair (phases must be contiguous and forward; see
   /// db::SharedScanState::RunPhase).
-  Status RunPhase(size_t row_begin, size_t row_end);
+  Status RunPhase(size_t row_begin, size_t row_end) {
+    return state_.RunPhase(row_begin, row_end);
+  }
 
   /// True once the options' cancel token cut a phase short; the session can
   /// be finalized on partial data, or re-opened with ResumeAfterCancel().
@@ -113,10 +82,11 @@ class SharedScanSession {
 
   /// Terminal call: materializes every surviving query's results (retired
   /// queries yield an empty vector, retired sets an empty placeholder
-  /// table) and records the whole session in the engine's counters —
-  /// queries_executed += batch size, table_scans += 1.
+  /// table) and records the whole session in the registry totals —
+  /// engine.queries += batch size, engine.table_scans += 1.
   Result<std::vector<std::vector<Table>>> Finalize();
 
+  /// The per-run record of this scan's work.
   SharedScanStats stats() const { return state_.stats(); }
 
  private:
@@ -126,16 +96,15 @@ class SharedScanSession {
 
   Engine* engine_;
   SharedScanState state_;
-  uint64_t exec_micros_ = 0;
   bool finalized_ = false;
 };
 
 /// \brief Executes queries against a Catalog, recording cost metrics and
 /// column access patterns.
 ///
-/// Execute() is safe to call concurrently from multiple threads (counters are
-/// atomic; tables are immutable during querying) — this is what SeeDB's
-/// parallel query execution relies on.
+/// Execute() is safe to call concurrently from multiple threads (registry
+/// counters are sharded atomics; tables are immutable during querying) —
+/// this is what SeeDB's parallel query execution relies on.
 class Engine {
  public:
   explicit Engine(Catalog* catalog) : catalog_(catalog) {}
@@ -146,13 +115,15 @@ class Engine {
   /// Executes a grouped aggregation (one table scan).
   Result<Table> Execute(const GroupByQuery& query);
 
-  /// Executes a multi-group-by query (one shared table scan).
-  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query);
+  /// Executes a multi-group-by query (one shared table scan). `stats`
+  /// (optional) receives the run's rows, groups and working set.
+  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query,
+                                     GroupingSetsStats* stats = nullptr);
 
   /// Executes a whole batch of multi-group-by queries in ONE fused
   /// morsel-driven pass (db/shared_scan.h). All queries must target the same
-  /// table. Every query still counts in `queries_executed`, but the batch
-  /// records exactly one `table_scans` increment — the engine-level
+  /// table. Every query still counts in `engine.queries`, but the batch
+  /// records exactly one `engine.table_scans` increment — the engine-level
   /// realization of §3.3's scan-sharing argument. Result `[q]` matches
   /// Execute(queries[q]).
   Result<std::vector<std::vector<Table>>> ExecuteShared(
@@ -162,7 +133,7 @@ class Engine {
   /// Opens a resumable fused scan over `queries` (all against one table)
   /// that the caller advances phase by phase — the engine face of
   /// db::SharedScanState, used by the phased executor's online pruning.
-  /// Cost accounting happens when the session finalizes.
+  /// The registry totals are fed when the session finalizes.
   Result<SharedScanSession> BeginShared(std::vector<GroupingSetsQuery> queries,
                                         const SharedScanOptions& options = {});
 
@@ -186,9 +157,6 @@ class Engine {
   PartialAggCache* result_cache() { return cache_.get(); }
   const PartialAggCache* result_cache() const { return cache_.get(); }
 
-  EngineStatsSnapshot stats() const;
-  void ResetStats();
-
  private:
   friend class SharedScanSession;
 
@@ -197,27 +165,15 @@ class Engine {
                     const std::vector<AggregateSpec>& aggs,
                     const Predicate* where);
   /// Folds one finished shared-scan batch (one-shot or phased session) into
-  /// the counters: 1 table scan, queries.size() queries, the batch's rows /
-  /// groups / working set, and access-tracker entries.
+  /// the registry totals — 1 table scan, queries.size() queries, the batch's
+  /// vectorized / SIMD morsels — and the access tracker.
   void RecordSharedBatch(const std::vector<GroupingSetsQuery>& queries,
-                         const SharedScanStats& stats, uint64_t exec_micros);
+                         const SharedScanStats& stats);
 
   Catalog* catalog_;
   AccessTracker tracker_;
   /// Cross-session partial-aggregate cache; null until EnableResultCache.
   std::unique_ptr<PartialAggCache> cache_;
-
-  std::atomic<uint64_t> queries_executed_{0};
-  std::atomic<uint64_t> table_scans_{0};
-  std::atomic<uint64_t> shared_scan_batches_{0};
-  std::atomic<uint64_t> vectorized_morsels_{0};
-  std::atomic<uint64_t> simd_morsels_{0};
-  std::atomic<uint64_t> rows_scanned_{0};
-  std::atomic<uint64_t> groups_created_{0};
-  std::atomic<uint64_t> peak_agg_state_bytes_{0};
-  std::atomic<uint64_t> total_exec_micros_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
 };
 
 }  // namespace seedb::db

@@ -38,7 +38,8 @@ struct GroupByQuery {
   std::string ToSql() const;
 };
 
-/// Per-query execution metrics, aggregated into Engine::ExecutionStats.
+/// Per-query execution metrics of one ExecuteGroupBy call. Engine::Execute
+/// feeds rows_scanned into the obs registry's engine.scan.rows total.
 struct GroupByStats {
   /// Rows the scan touched (reduced by sampling).
   size_t rows_scanned = 0;

@@ -96,13 +96,19 @@ std::string PartialAggCacheKey(const Table& table, uint64_t table_version,
 
 std::shared_ptr<const CachedPartialAgg> PartialAggCache::Lookup(
     const std::string& key) {
+  static obs::Counter* obs_hits =
+      obs::Registry::Global().GetCounter("engine.cache.hits");
+  static obs::Counter* obs_misses =
+      obs::Registry::Global().GetCounter("engine.cache.misses");
   base::MutexLock lock(&mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
+    obs_misses->Add();
     return nullptr;
   }
   ++hits_;
+  obs_hits->Add();
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return it->second.value;
 }

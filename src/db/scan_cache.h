@@ -105,7 +105,8 @@ class PartialAggCache {
   PartialAggCache& operator=(const PartialAggCache&) = delete;
 
   /// Returns the entry and freshens its LRU position, or nullptr on miss.
-  /// Counts one hit or miss.
+  /// Counts one hit or miss, in stats() and in the registry's
+  /// engine.cache.{hits,misses}.
   std::shared_ptr<const CachedPartialAgg> Lookup(const std::string& key);
 
   /// Inserts (or replaces) `key`, then evicts least-recently-used entries

@@ -113,6 +113,9 @@ struct SharedScanOptions {
 /// a ceiling that preserves stealing granularity on big tables.
 size_t AdaptiveMorselRows(size_t num_rows, size_t num_threads);
 
+/// The per-run record of one scan's work. core::ExecutionReport and
+/// core::ExecutionProfile embed it by value as `scan`; process-wide totals
+/// live in the obs registry (engine.scan.*, engine.cache.*).
 struct SharedScanStats {
   /// Rows visited by the fused pass(es): per phase, the largest sample-mask
   /// count among queries with a set still scanned (the whole batch shares

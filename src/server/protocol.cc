@@ -446,11 +446,11 @@ JsonValue ResultToJson(const std::string& id,
   profile.Set("table_scans",
               JsonValue::Number(static_cast<double>(prof.table_scans)));
   profile.Set("rows_scanned",
-              JsonValue::Number(static_cast<double>(prof.rows_scanned)));
+              JsonValue::Number(static_cast<double>(prof.scan.rows_scanned)));
   profile.Set("cache_hits",
-              JsonValue::Number(static_cast<double>(prof.cache_hits)));
+              JsonValue::Number(static_cast<double>(prof.scan.cache_hits)));
   profile.Set("cache_misses",
-              JsonValue::Number(static_cast<double>(prof.cache_misses)));
+              JsonValue::Number(static_cast<double>(prof.scan.cache_misses)));
   profile.Set("early_stopped", JsonValue::Bool(prof.early_stopped));
   profile.Set("cancelled", JsonValue::Bool(prof.cancelled));
   profile.Set("budget_exceeded", JsonValue::Bool(prof.budget_exceeded));

@@ -994,21 +994,17 @@ JsonValue RecommendationServer::HandleStatus(const std::string& id) {
                  JsonValue::Number(static_cast<double>(requests_.load())));
     response.Set("memory_bytes",
                  JsonValue::Number(static_cast<double>(memory)));
-    const db::EngineStatsSnapshot engine_stats = engine_->stats();
-    if (engine_stats.result_cache_enabled) {
+    if (const db::PartialAggCache* cache = engine_->result_cache()) {
+      const db::ScanCacheStats cs = cache->stats();
       response.Set("cache_enabled", JsonValue::Bool(true));
       response.Set("cache_hits",
-                   JsonValue::Number(
-                       static_cast<double>(engine_stats.cache_hits)));
+                   JsonValue::Number(static_cast<double>(cs.hits)));
       response.Set("cache_misses",
-                   JsonValue::Number(
-                       static_cast<double>(engine_stats.cache_misses)));
+                   JsonValue::Number(static_cast<double>(cs.misses)));
       response.Set("cache_bytes",
-                   JsonValue::Number(
-                       static_cast<double>(engine_stats.cache_bytes)));
+                   JsonValue::Number(static_cast<double>(cs.bytes)));
       response.Set("cache_evictions",
-                   JsonValue::Number(
-                       static_cast<double>(engine_stats.cache_evictions)));
+                   JsonValue::Number(static_cast<double>(cs.evictions)));
     }
     return response;
   }

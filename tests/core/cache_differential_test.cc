@@ -110,21 +110,20 @@ TEST_F(CacheDifferentialTest,
     const SeeDBRequest request =
         Request(config.strategy, config.pruner, config.phases);
     const RecommendationSet cold = Run(&engine, request);
-    const db::EngineStatsSnapshot after_cold = engine.stats();
-    EXPECT_EQ(after_cold.cache_hits, 0u);
+    EXPECT_EQ(engine.result_cache()->stats().hits, 0u);
     const RecommendationSet warm = Run(&engine, request);
     ExpectBitIdentical(warm, cold);
-    const db::EngineStatsSnapshot after_warm = engine.stats();
+    const db::ScanCacheStats after_warm = engine.result_cache()->stats();
     if (config.pruner == OnlinePruner::kMultiArmedBandit) {
       // MAB halves by estimate order, which adoption would change; such
       // runs bypass the cache entirely — bit-identity by construction.
-      EXPECT_EQ(after_warm.cache_hits, 0u);
-      EXPECT_EQ(warm.profile.cache_hits, 0u);
+      EXPECT_EQ(after_warm.hits, 0u);
+      EXPECT_EQ(warm.profile.scan.cache_hits, 0u);
     } else {
       // The warm run adopted at least something (under a pruner, retired
       // views are never published, so the warm run re-scans those only).
-      EXPECT_GT(after_warm.cache_hits, 0u);
-      EXPECT_GT(warm.profile.cache_hits, 0u);
+      EXPECT_GT(after_warm.hits, 0u);
+      EXPECT_GT(warm.profile.scan.cache_hits, 0u);
     }
     // And a cache-free engine agrees with both: adoption changed cost,
     // never answers.
@@ -177,8 +176,8 @@ TEST_F(CacheDifferentialTest, PrunedRunPublishesOnlyFullyScannedSets) {
   ASSERT_LT(touched.size(), dims.size()) << "no set scanned in full";
 
   const RecommendationSet warm = Run(&engine, request);
-  EXPECT_EQ(warm.profile.cache_misses, touched.size());
-  EXPECT_EQ(warm.profile.cache_hits, dims.size() - touched.size());
+  EXPECT_EQ(warm.profile.scan.cache_misses, touched.size());
+  EXPECT_EQ(warm.profile.scan.cache_hits, dims.size() - touched.size());
   ExpectBitIdentical(warm, cold);
   db::Engine reference(&catalog_);
   ExpectBitIdentical(Run(&reference, request), cold);
@@ -190,13 +189,13 @@ TEST_F(CacheDifferentialTest, FullyWarmRunScansNoRows) {
   const SeeDBRequest request =
       Request(ExecutionStrategy::kSharedScan, OnlinePruner::kNone, 1);
   const RecommendationSet cold = Run(&engine, request);
-  EXPECT_GT(cold.profile.rows_scanned, 0u);
+  EXPECT_GT(cold.profile.scan.rows_scanned, 0u);
   const RecommendationSet warm = Run(&engine, request);
   ExpectBitIdentical(warm, cold);
   // No pruner, one pass: every pair was published, so the warm run adopts
   // everything and never touches the table.
-  EXPECT_EQ(warm.profile.rows_scanned, 0u);
-  EXPECT_EQ(warm.profile.cache_misses, 0u);
+  EXPECT_EQ(warm.profile.scan.rows_scanned, 0u);
+  EXPECT_EQ(warm.profile.scan.cache_misses, 0u);
 }
 
 TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
@@ -214,10 +213,10 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
   catalog_.PutTable("synth", std::move(replacement->table));
 
   const RecommendationSet second = Run(&engine, request);
-  EXPECT_GT(second.profile.rows_scanned, 0u)
+  EXPECT_GT(second.profile.scan.rows_scanned, 0u)
       << "stale entries adopted across a version bump";
-  EXPECT_EQ(second.profile.cache_hits, 0u);
-  EXPECT_GT(second.profile.cache_misses, 0u);
+  EXPECT_EQ(second.profile.scan.cache_hits, 0u);
+  EXPECT_GT(second.profile.scan.cache_misses, 0u);
   // Differently-seeded data: at least one utility must move, or the
   // invalidation assertion above is vacuous.
   bool any_differs = first.top_views.size() != second.top_views.size();
@@ -231,7 +230,7 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
   // And the new version warms up normally.
   const RecommendationSet third = Run(&engine, request);
   ExpectBitIdentical(third, second);
-  EXPECT_GT(third.profile.cache_hits, 0u);
+  EXPECT_GT(third.profile.scan.cache_hits, 0u);
 }
 
 TEST_F(CacheDifferentialTest, LruEvictionUnderBudgetNeverChangesAnswers) {
@@ -253,11 +252,11 @@ TEST_F(CacheDifferentialTest, LruEvictionUnderBudgetNeverChangesAnswers) {
     ExpectBitIdentical(Run(&engine, wide), wide_ref);
     ExpectBitIdentical(Run(&engine, narrow), narrow_ref);
   }
-  const db::EngineStatsSnapshot stats = engine.stats();
-  EXPECT_GT(stats.cache_evictions, 0u)
+  const db::ScanCacheStats stats = engine.result_cache()->stats();
+  EXPECT_GT(stats.evictions, 0u)
       << "budget never pressured the LRU — raise the workload or drop the "
          "budget";
-  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_GT(stats.misses, 0u);
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
+#include "../test_util.h"
 #include "core/view_space.h"
 #include "data/synthetic.h"
 
 namespace seedb::core {
 namespace {
+
+using ::seedb::testing::RegistryCount;
 
 // Shared environment: a synthetic dataset with a planted deviation, large
 // enough for plan-equivalence checks to be meaningful.
@@ -125,30 +129,57 @@ TEST_F(ExecutorTest, ReportRecordsPerQueryTimes) {
 }
 
 TEST_F(ExecutorTest, EngineCountsMatchPlanPrediction) {
-  engine_->ResetStats();
   ExecutionReport report;
   Run(OptimizerOptions::All(), 1, &report);
-  db::EngineStatsSnapshot stats = engine_->stats();
-  EXPECT_EQ(stats.queries_executed, 1u);
-  EXPECT_EQ(stats.table_scans, 1u);
+  EXPECT_EQ(report.queries_executed, 1u);
+  EXPECT_EQ(report.table_scans, 1u);
 
-  engine_->ResetStats();
   Run(OptimizerOptions::Baseline(), 1, &report);
-  stats = engine_->stats();
-  EXPECT_EQ(stats.queries_executed, 2 * views_.size());
+  EXPECT_EQ(report.queries_executed, 2 * views_.size());
+  EXPECT_EQ(report.table_scans, 2 * views_.size());
 }
 
 TEST_F(ExecutorTest, CombineTcExactlyHalvesScans) {
-  engine_->ResetStats();
-  Run(OptimizerOptions::Baseline());
-  uint64_t baseline_scans = engine_->stats().table_scans;
+  ExecutionReport baseline;
+  Run(OptimizerOptions::Baseline(), 1, &baseline);
 
-  engine_->ResetStats();
   OptimizerOptions tc = OptimizerOptions::Baseline();
   tc.combine_target_comparison = true;
-  Run(tc);
-  uint64_t tc_scans = engine_->stats().table_scans;
-  EXPECT_EQ(tc_scans * 2, baseline_scans);
+  ExecutionReport combined;
+  Run(tc, 1, &combined);
+  EXPECT_GT(combined.table_scans, 0u);
+  EXPECT_EQ(combined.table_scans * 2, baseline.table_scans);
+  EXPECT_EQ(combined.scan.rows_scanned * 2, baseline.scan.rows_scanned);
+}
+
+// A per-query run's report is its own work, exactly, even while its queries
+// run on a pool and another run shares the engine: one table pass per
+// planned query, and the rows those passes read — never an engine-wide
+// delta that would absorb the concurrent run.
+TEST_F(ExecutorTest, ParallelPerQueryReportCountsOnlyItsOwnRun) {
+  const db::TableStats* stats = catalog_->GetStats("t").ValueOrDie();
+  ExecutionPlan plan = BuildExecutionPlan(views_, "t", selection_, *stats,
+                                          OptimizerOptions::Baseline())
+                           .ValueOrDie();
+  const size_t rows = catalog_->GetTable("t").ValueOrDie()->num_rows();
+  ExecutorOptions exec;
+  exec.strategy = ExecutionStrategy::kPerQuery;
+  exec.parallelism = 4;
+  ExecutionReport reports[2];
+  std::thread other([&] {
+    ASSERT_TRUE(ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers, exec,
+                            &reports[1])
+                    .ok());
+  });
+  ASSERT_TRUE(ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers, exec,
+                          &reports[0])
+                  .ok());
+  other.join();
+  for (const ExecutionReport& report : reports) {
+    EXPECT_EQ(report.queries_executed, plan.queries.size());
+    EXPECT_EQ(report.table_scans, plan.queries.size());
+    EXPECT_EQ(report.scan.rows_scanned, plan.queries.size() * rows);
+  }
 }
 
 // The shared-scan strategy computes the same utilities as per-query
@@ -180,14 +211,18 @@ INSTANTIATE_TEST_SUITE_P(AllCombos, SharedScanEquivalenceTest,
 // The tentpole invariant: a fused multi-query plan is exactly ONE table scan
 // in the engine's cost model, regardless of how many views it answers.
 TEST_F(ExecutorTest, SharedScanCountsOneScanForWholePlan) {
-  engine_->ResetStats();
-  Run(OptimizerOptions::Baseline(), 2, nullptr,
+  const uint64_t scans_before = RegistryCount("engine.table_scans");
+  const uint64_t queries_before = RegistryCount("engine.queries");
+  ExecutionReport report;
+  Run(OptimizerOptions::Baseline(), 2, &report,
       ExecutionStrategy::kSharedScan);
-  db::EngineStatsSnapshot stats = engine_->stats();
-  EXPECT_EQ(stats.table_scans, 1u);
-  EXPECT_EQ(stats.shared_scan_batches, 1u);
+  EXPECT_EQ(report.table_scans, 1u);
   // Every planned query still counts as a query (2 per view, baseline plan).
-  EXPECT_EQ(stats.queries_executed, 2 * views_.size());
+  EXPECT_EQ(report.queries_executed, 2 * views_.size());
+  // The engine-wide totals agree with the run's own record.
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans_before, 1u);
+  EXPECT_EQ(RegistryCount("engine.queries") - queries_before,
+            2 * views_.size());
 }
 
 // Fused strategies do not pretend per-query latencies exist: the report
@@ -212,8 +247,8 @@ TEST_F(ExecutorTest, SharedScanReportCountsVectorizedMorsels) {
   EXPECT_FALSE(results.empty());
   // Every grouping set here is categorical with a small dictionary, so the
   // whole fused pass must take the vectorized inner loop.
-  EXPECT_GT(report.vectorized_morsels, 0u);
-  EXPECT_GT(report.agg_state_bytes, 0u);
+  EXPECT_GT(report.scan.vectorized_morsels, 0u);
+  EXPECT_GT(report.scan.agg_state_bytes, 0u);
 }
 
 // --- Utility-range auto-calibration (OnlinePruningOptions::utility_range
@@ -256,7 +291,7 @@ TEST_F(ExecutorTest, PerQueryBudgetStopsIssuingQueriesGracefully) {
   ASSERT_TRUE(results.ok()) << results.status();
   EXPECT_TRUE(report.budget_exceeded);
   EXPECT_LT(report.queries_executed, plan.queries.size());
-  EXPECT_GT(report.agg_state_bytes, 64u);
+  EXPECT_GT(report.scan.agg_state_bytes, 64u);
   // Parallel per-query runs observe the same budget.
   exec.parallelism = 4;
   ExecutionReport parallel_report;
@@ -279,7 +314,7 @@ TEST_F(ExecutorTest, SharedScanBudgetFlagsTheBreachAtItsOneBoundary) {
                              exec, &report);
   ASSERT_TRUE(results.ok()) << results.status();
   EXPECT_TRUE(report.budget_exceeded);
-  EXPECT_GT(report.agg_state_bytes, 64u);
+  EXPECT_GT(report.scan.agg_state_bytes, 64u);
   // A generous budget never trips.
   exec.memory_budget_bytes = 1ull << 30;
   ExecutionReport ok_report;
@@ -372,14 +407,15 @@ TEST_F(PhasedExecutorTest, ReportBreaksDownPhases) {
 // However many phases the scan runs, it is still ONE pass over the table in
 // the engine's cost model.
 TEST_F(PhasedExecutorTest, PhasedScanStillCountsOneTableScan) {
-  engine_->ResetStats();
+  const uint64_t scans_before = RegistryCount("engine.table_scans");
   OnlinePruningOptions pruning;
   pruning.num_phases = 4;
-  RunPhased(OptimizerOptions::Baseline(), pruning);
-  db::EngineStatsSnapshot stats = engine_->stats();
-  EXPECT_EQ(stats.table_scans, 1u);
-  EXPECT_EQ(stats.shared_scan_batches, 1u);
-  EXPECT_EQ(stats.queries_executed, 2 * views_.size());
+  ExecutionReport report;
+  RunPhased(OptimizerOptions::Baseline(), pruning, &report);
+  EXPECT_EQ(report.phases_executed, 4u);
+  EXPECT_EQ(report.table_scans, 1u);
+  EXPECT_EQ(report.queries_executed, 2 * views_.size());
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans_before, 1u);
 }
 
 // MAB successive halving retires views mid-flight; the planted deviation is

@@ -79,7 +79,7 @@ TEST_F(SeeDBTest, ProfileCountsAreConsistent) {
   EXPECT_EQ(p.views_enumerated, p.views_pruned + p.views_executed);
   EXPECT_GT(p.views_executed, 0u);
   EXPECT_GT(p.queries_issued, 0u);
-  EXPECT_GT(p.rows_scanned, 0u);
+  EXPECT_GT(p.scan.rows_scanned, 0u);
   EXPECT_GE(p.total_seconds, 0.0);
   std::string s = p.ToString();
   EXPECT_NE(s.find("views:"), std::string::npos);
@@ -192,7 +192,7 @@ TEST(SeeDBSyntheticTest, MaterializedSamplingFindsPlantedView) {
   ASSERT_TRUE(catalog.HasTable(sample_name));
   EXPECT_EQ((*catalog.GetTable(sample_name))->num_rows(), 4000u);
   // Scan cost reflects the sample, not the base table.
-  EXPECT_LE(result->profile.rows_scanned, 4000u);
+  EXPECT_LE(result->profile.scan.rows_scanned, 4000u);
 
   // Strong planted deviation survives 5x downsampling.
   bool found = false;

@@ -165,7 +165,7 @@ TEST_F(SessionTest, CancelBetweenPhasesYieldsPartialResults) {
   // Only the first of 8 phases ran; results estimate from that slice.
   EXPECT_EQ(set->profile.phases_executed, 1u);
   EXPECT_FALSE(set->top_views.empty());
-  EXPECT_LT(set->profile.rows_scanned, 8000u);
+  EXPECT_LT(set->profile.scan.rows_scanned, 8000u);
 }
 
 TEST_F(SessionTest, CancelledSessionLeavesEngineReusable) {
@@ -266,8 +266,34 @@ TEST_F(SessionTest, ConcurrentSessionsOnOneEngineAreSafe) {
     // Profiles attribute the session's OWN work, not the engine-wide total
     // the overlapping sessions racked up together.
     EXPECT_EQ(profiles[i].table_scans, 1u) << "session " << i;
-    EXPECT_EQ(profiles[i].rows_scanned, 8000u) << "session " << i;
+    EXPECT_EQ(profiles[i].scan.rows_scanned, 8000u) << "session " << i;
   }
+}
+
+// A per-query (default strategy) session's profile is its own work, not an
+// engine-wide delta between Open() and Finish(): a second session that runs
+// to completion in between must not bleed into the first one's counts.
+TEST_F(SessionTest, PerQueryProfileIgnoresSessionsRunBetweenOpenAndFinish) {
+  SeeDB seedb(engine_);
+  const SeeDBRequest request =
+      SeeDBRequest("synth").Where(selection_).WithTopK(3);
+  ASSERT_EQ(request.options().strategy, ExecutionStrategy::kPerQuery);
+  auto alone = seedb.Run(request);
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  EXPECT_EQ(alone->profile.queries_issued, 1u);
+  EXPECT_EQ(alone->profile.table_scans, 1u);
+  EXPECT_EQ(alone->profile.scan.rows_scanned, 8000u);
+
+  auto a = seedb.Open(request);
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto b = seedb.Run(request);
+  ASSERT_TRUE(b.ok()) << b.status();
+  auto a_set = a->Finish();
+  ASSERT_TRUE(a_set.ok()) << a_set.status();
+  EXPECT_EQ(a_set->profile.queries_issued, alone->profile.queries_issued);
+  EXPECT_EQ(a_set->profile.table_scans, alone->profile.table_scans);
+  EXPECT_EQ(a_set->profile.scan.rows_scanned,
+            alone->profile.scan.rows_scanned);
 }
 
 TEST_F(SessionTest, SharedScanStrategyIsCancellableToo) {
@@ -283,7 +309,7 @@ TEST_F(SessionTest, SharedScanStrategyIsCancellableToo) {
   auto set = session->Finish();
   ASSERT_TRUE(set.ok()) << set.status();
   EXPECT_TRUE(set->profile.cancelled);
-  EXPECT_EQ(set->profile.rows_scanned, 0u);
+  EXPECT_EQ(set->profile.scan.rows_scanned, 0u);
 }
 
 TEST_F(SessionTest, OnlinePrunedViewsCarryPartialEstimates) {
@@ -479,7 +505,7 @@ TEST_F(SessionTest, MemoryBudgetExceededMidScanIsACleanError) {
   ASSERT_TRUE(set.ok()) << set.status();
   EXPECT_TRUE(set->profile.budget_exceeded);
   EXPECT_EQ(set->profile.phases_executed, 1u);
-  EXPECT_LT(set->profile.rows_scanned, 8000u);
+  EXPECT_LT(set->profile.scan.rows_scanned, 8000u);
   EXPECT_FALSE(set->top_views.empty());
 
   // The engine is unharmed: a budget-free run still works.
@@ -564,11 +590,11 @@ TEST_F(SessionTest, FusedProfileReportsVectorizedMorsels) {
   ASSERT_TRUE(set.ok()) << set.status();
   // Synthetic dimensions are small categorical dictionaries: the fused scan
   // must take the vectorized inner loop for every morsel.
-  EXPECT_GT(set->profile.vectorized_morsels, 0u);
+  EXPECT_GT(set->profile.scan.vectorized_morsels, 0u);
 
   auto per_query = seedb.Run(SeeDBRequest("synth").Where(selection_));
   ASSERT_TRUE(per_query.ok());
-  EXPECT_EQ(per_query->profile.vectorized_morsels, 0u);
+  EXPECT_EQ(per_query->profile.scan.vectorized_morsels, 0u);
 }
 
 TEST_F(SessionTest, ProgressUpdatesCarryTheMemoryFootprint) {
@@ -681,7 +707,8 @@ TEST_F(SessionResumeTest, CancelThenResumeEqualsUninterruptedRun) {
   ASSERT_TRUE(set.ok()) << set.status();
   EXPECT_FALSE(set->profile.cancelled);
   EXPECT_EQ(set->profile.phases_executed, 6u);
-  EXPECT_EQ(set->profile.rows_scanned, truth->profile.rows_scanned);
+  EXPECT_EQ(set->profile.scan.rows_scanned,
+            truth->profile.scan.rows_scanned);
   ASSERT_EQ(set->top_views.size(), truth->top_views.size());
   for (size_t i = 0; i < set->top_views.size(); ++i) {
     EXPECT_EQ(set->top_views[i].view(), truth->top_views[i].view());
@@ -781,7 +808,7 @@ TEST_F(SessionTest, MidScanCancelFromAnotherThreadThenResumeMatchesSerial) {
   auto set = session->Finish();
   ASSERT_TRUE(set.ok()) << set.status();
   EXPECT_FALSE(set->profile.cancelled);
-  EXPECT_EQ(set->profile.rows_scanned, 8000u);
+  EXPECT_EQ(set->profile.scan.rows_scanned, 8000u);
   EXPECT_EQ(set->profile.phases_executed, 8u);
   EXPECT_EQ(TopIds(*set), expected);
   for (size_t i = 0; i < set->top_views.size(); ++i) {

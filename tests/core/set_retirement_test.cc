@@ -165,7 +165,8 @@ TEST_F(SetRetirementTest, CancelAfterRetirementThenResumeEqualsUninterrupted) {
   auto resumed = session->Finish();
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_FALSE(resumed->profile.cancelled);
-  EXPECT_EQ(resumed->profile.rows_scanned, truth.profile.rows_scanned);
+  EXPECT_EQ(resumed->profile.scan.rows_scanned,
+            truth.profile.scan.rows_scanned);
   ExpectSameRanking(*resumed, truth);
 }
 

@@ -9,6 +9,8 @@
 namespace seedb::db {
 namespace {
 
+using ::seedb::testing::RegistryCount;
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : engine_(&catalog_) {
@@ -40,59 +42,48 @@ TEST_F(EngineTest, MissingTableFails) {
 }
 
 TEST_F(EngineTest, StatsCountQueriesAndScans) {
-  engine_.ResetStats();
-  ASSERT_TRUE(engine_.Execute(SimpleQuery()).ok());
-  ASSERT_TRUE(engine_.Execute(SimpleQuery()).ok());
-  EngineStatsSnapshot s = engine_.stats();
-  EXPECT_EQ(s.queries_executed, 2u);
-  EXPECT_EQ(s.table_scans, 2u);
-  EXPECT_EQ(s.rows_scanned, 12u);
-  EXPECT_EQ(s.groups_created, 4u);
-  EXPECT_GT(s.peak_agg_state_bytes, 0u);
-}
-
-// Pins the \stats reset contract: every cumulative counter reads zero
-// after ResetStats(), and counting resumes from zero afterwards.
-TEST_F(EngineTest, ResetStatsZeroesEveryCounter) {
-  ASSERT_TRUE(engine_.Execute(SimpleQuery()).ok());
-  EXPECT_GT(engine_.stats().queries_executed, 0u);
-  engine_.ResetStats();
-  EngineStatsSnapshot s = engine_.stats();
-  EXPECT_EQ(s.queries_executed, 0u);
-  EXPECT_EQ(s.table_scans, 0u);
-  EXPECT_EQ(s.shared_scan_batches, 0u);
-  EXPECT_EQ(s.vectorized_morsels, 0u);
-  EXPECT_EQ(s.simd_morsels, 0u);
-  EXPECT_EQ(s.rows_scanned, 0u);
-  EXPECT_EQ(s.groups_created, 0u);
-  EXPECT_EQ(s.peak_agg_state_bytes, 0u);
-  EXPECT_EQ(s.total_exec_micros, 0u);
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.cache_misses, 0u);
-  ASSERT_TRUE(engine_.Execute(SimpleQuery()).ok());
-  EXPECT_EQ(engine_.stats().queries_executed, 1u);
+  const uint64_t queries = RegistryCount("engine.queries");
+  const uint64_t scans = RegistryCount("engine.table_scans");
+  const uint64_t rows = RegistryCount("engine.scan.rows");
+  auto first = engine_.Execute(SimpleQuery());
+  auto second = engine_.Execute(SimpleQuery());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(RegistryCount("engine.queries") - queries, 2u);
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans, 2u);
+  EXPECT_EQ(RegistryCount("engine.scan.rows") - rows, 12u);
+  EXPECT_EQ(first->num_rows() + second->num_rows(), 4u);  // groups
 }
 
 TEST_F(EngineTest, GroupingSetsCountsOneScan) {
-  engine_.ResetStats();
+  const uint64_t queries = RegistryCount("engine.queries");
+  const uint64_t scans = RegistryCount("engine.table_scans");
   GroupingSetsQuery q;
   q.table = "t";
   q.grouping_sets = {{"d"}, {"e"}, {"d", "e"}};
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m1")};
-  auto results = engine_.Execute(q);
+  GroupingSetsStats stats;
+  auto results = engine_.Execute(q, &stats);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 3u);
-  EngineStatsSnapshot s = engine_.stats();
-  EXPECT_EQ(s.queries_executed, 1u);
-  EXPECT_EQ(s.table_scans, 1u);  // the whole point of GROUPING SETS
+  EXPECT_EQ(RegistryCount("engine.queries") - queries, 1u);
+  // The whole point of GROUPING SETS: three sets, one pass.
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans, 1u);
+  EXPECT_EQ(stats.rows_scanned, 6u);
+  size_t groups = 0;
+  for (const Table& t : *results) groups += t.num_rows();
+  EXPECT_EQ(stats.total_groups, groups);
+  EXPECT_GT(stats.agg_state_bytes, 0u);
 }
 
 TEST_F(EngineTest, FailedQueryDoesNotCount) {
-  engine_.ResetStats();
+  const uint64_t queries = RegistryCount("engine.queries");
+  const uint64_t scans = RegistryCount("engine.table_scans");
   GroupByQuery q = SimpleQuery();
   q.group_by = {"missing"};
   EXPECT_FALSE(engine_.Execute(q).ok());
-  EXPECT_EQ(engine_.stats().queries_executed, 0u);
+  EXPECT_EQ(RegistryCount("engine.queries"), queries);
+  EXPECT_EQ(RegistryCount("engine.table_scans"), scans);
 }
 
 TEST_F(EngineTest, AccessTrackerRecordsColumns) {
@@ -138,7 +129,7 @@ TEST_F(EngineTest, ExecuteSqlParseErrorPropagates) {
 }
 
 TEST_F(EngineTest, ConcurrentExecutionIsSafe) {
-  engine_.ResetStats();
+  const uint64_t queries = RegistryCount("engine.queries");
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int k = 0; k < 4; ++k) {
@@ -150,16 +141,8 @@ TEST_F(EngineTest, ConcurrentExecutionIsSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine_.stats().queries_executed, 200u);
-}
-
-TEST(EngineStatsTest, ToStringMentionsCounters) {
-  EngineStatsSnapshot s;
-  s.queries_executed = 3;
-  s.table_scans = 2;
-  std::string str = s.ToString();
-  EXPECT_NE(str.find("queries=3"), std::string::npos);
-  EXPECT_NE(str.find("scans=2"), std::string::npos);
+  // Every concurrent execution lands in the sharded registry counter.
+  EXPECT_EQ(RegistryCount("engine.queries") - queries, 200u);
 }
 
 }  // namespace

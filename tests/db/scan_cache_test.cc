@@ -12,6 +12,7 @@ namespace seedb::db {
 namespace {
 
 using ::seedb::testing::MakeTinyTable;
+using ::seedb::testing::RegistryCount;
 
 // -- Literal normalization ---------------------------------------------------
 
@@ -219,9 +220,9 @@ TEST(ScanCacheIntegrationTest, EqualSpellingsShareRecipeAndEntry) {
   EXPECT_EQ(engine.result_cache()->stats().entries, 2u);
   ASSERT_TRUE(engine.ExecuteShared({q2, q3}).ok());
   EXPECT_EQ(engine.result_cache()->stats().entries, 2u);
-  EngineStatsSnapshot snap = engine.stats();
-  EXPECT_EQ(snap.cache_misses, 2u);  // q1's two sets, cold
-  EXPECT_EQ(snap.cache_hits, 4u);    // q2 and q3, two sets each
+  const ScanCacheStats cs = engine.result_cache()->stats();
+  EXPECT_EQ(cs.misses, 2u);  // q1's two sets, cold
+  EXPECT_EQ(cs.hits, 4u);    // q2 and q3, two sets each
 }
 
 // Distinct literal *types* (string "1" vs number 1) must produce distinct
@@ -243,10 +244,10 @@ TEST(ScanCacheIntegrationTest, DifferentTypesAndValuesNeverShareEntries) {
   GroupingSetsQuery on_b = TinyQuery(PredicatePtr(Eq("d", Value("b"))));
   ASSERT_TRUE(engine.ExecuteShared({on_a}).ok());
   ASSERT_TRUE(engine.ExecuteShared({on_b}).ok());
-  EngineStatsSnapshot snap = engine.stats();
-  EXPECT_EQ(snap.cache_hits, 0u);
-  EXPECT_EQ(snap.cache_misses, 4u);
-  EXPECT_EQ(engine.result_cache()->stats().entries, 4u);
+  const ScanCacheStats cs = engine.result_cache()->stats();
+  EXPECT_EQ(cs.hits, 0u);
+  EXPECT_EQ(cs.misses, 4u);
+  EXPECT_EQ(cs.entries, 4u);
 }
 
 TEST(ScanCacheIntegrationTest, WarmRunAdoptsWithoutScanning) {
@@ -258,10 +259,11 @@ TEST(ScanCacheIntegrationTest, WarmRunAdoptsWithoutScanning) {
 
   auto cold = engine.ExecuteShared({q});
   ASSERT_TRUE(cold.ok());
-  engine.ResetStats();
+  const uint64_t rows_before = RegistryCount("engine.scan.rows");
   auto warm = engine.ExecuteShared({q});
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(engine.stats().rows_scanned, 0u);  // fully adopted: no scan
+  // Fully adopted: no scan.
+  EXPECT_EQ(RegistryCount("engine.scan.rows"), rows_before);
 
   // Bit-identical results, not approximately equal.
   ASSERT_EQ(warm->size(), cold->size());
@@ -289,16 +291,17 @@ TEST(ScanCacheIntegrationTest, TableReplaceInvalidatesEntries) {
   engine.EnableResultCache(1 << 20);
   GroupingSetsQuery q = TinyQuery();
   ASSERT_TRUE(engine.ExecuteShared({q}).ok());
-  EXPECT_EQ(engine.stats().cache_misses, 2u);
+  EXPECT_EQ(engine.result_cache()->stats().misses, 2u);
 
   // Replacing the table bumps its version: old entries are unreachable.
   catalog.PutTable("t", MakeTinyTable());
-  engine.ResetStats();
+  const ScanCacheStats before = engine.result_cache()->stats();
+  const uint64_t rows_before = RegistryCount("engine.scan.rows");
   ASSERT_TRUE(engine.ExecuteShared({q}).ok());
-  EngineStatsSnapshot snap = engine.stats();
-  EXPECT_EQ(snap.cache_hits, 0u);
-  EXPECT_EQ(snap.cache_misses, 2u);
-  EXPECT_GT(snap.rows_scanned, 0u);
+  const ScanCacheStats after = engine.result_cache()->stats();
+  EXPECT_EQ(after.hits - before.hits, 0u);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_GT(RegistryCount("engine.scan.rows"), rows_before);
 }
 
 }  // namespace

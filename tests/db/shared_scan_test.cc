@@ -15,6 +15,7 @@ namespace {
 
 using ::seedb::testing::MakeLaserwaveTable;
 using ::seedb::testing::MakeTinyTable;
+using ::seedb::testing::RegistryCount;
 
 // Checks two tables cell-for-cell. Aggregate doubles may differ by float
 // reassociation across morsel boundaries, so doubles compare with EXPECT_NEAR.
@@ -505,15 +506,16 @@ TEST(SharedScanTest, EngineCountsOneScanPerBatch) {
     queries.push_back(q);
   }
 
+  const uint64_t queries_before = RegistryCount("engine.queries");
+  const uint64_t scans_before = RegistryCount("engine.table_scans");
+  const uint64_t rows_before = RegistryCount("engine.scan.rows");
   auto results = engine.ExecuteShared(queries);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_EQ(results->size(), 5u);
 
-  EngineStatsSnapshot stats = engine.stats();
-  EXPECT_EQ(stats.queries_executed, 5u);
-  EXPECT_EQ(stats.table_scans, 1u);
-  EXPECT_EQ(stats.shared_scan_batches, 1u);
-  EXPECT_EQ(stats.rows_scanned, 9u);
+  EXPECT_EQ(RegistryCount("engine.queries") - queries_before, 5u);
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans_before, 1u);
+  EXPECT_EQ(RegistryCount("engine.scan.rows") - rows_before, 9u);
 
   // Mixed-table batches are rejected.
   GroupingSetsQuery other = queries[0];

@@ -180,7 +180,8 @@ TEST_F(ServerEquivalenceTest, WireResultsEqualInProcessRunAcrossMatrix) {
     EXPECT_EQ(remote->profile.phases_executed,
               local->profile.phases_executed);
     EXPECT_EQ(remote->profile.table_scans, local->profile.table_scans);
-    EXPECT_EQ(remote->profile.rows_scanned, local->profile.rows_scanned);
+    EXPECT_EQ(remote->profile.rows_scanned,
+              local->profile.scan.rows_scanned);
     EXPECT_EQ(remote->profile.early_stopped, local->profile.early_stopped);
     EXPECT_FALSE(remote->profile.cancelled);
     EXPECT_FALSE(remote->profile.budget_exceeded);
@@ -259,7 +260,7 @@ TEST_F(ServerEquivalenceTest, PushWireResultsEqualInProcessRunAcrossMatrix) {
     EXPECT_EQ(remote->profile.table_scans,
               local_result->profile.table_scans);
     EXPECT_EQ(remote->profile.rows_scanned,
-              local_result->profile.rows_scanned);
+              local_result->profile.scan.rows_scanned);
   }
 }
 

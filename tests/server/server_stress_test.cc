@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "../test_util.h"
 #include "data/synthetic.h"
 #include "db/engine.h"
 #include "server/client.h"
@@ -24,6 +25,8 @@
 
 namespace seedb::server {
 namespace {
+
+using ::seedb::testing::RegistryCount;
 
 constexpr size_t kRows = 8000;
 constexpr int kThreads = 8;
@@ -276,11 +279,12 @@ TEST_F(ServerStressTest, EightThreadsInterleavedOpsStayCoherent) {
   EXPECT_GE(stats.requests, static_cast<uint64_t>(kThreads));
 }
 
-// A second engine-exactness angle: the engine-wide scan counter equals the
-// sum of per-session scans when every session runs the fused strategy —
-// nothing double-counted, nothing lost, even at full contention.
+// A second engine-exactness angle: the engine-wide scan counter (registry
+// total engine.table_scans) grows by exactly the sum of per-session scans
+// when every session runs the fused strategy — nothing double-counted,
+// nothing lost, even at full contention.
 TEST_F(ServerStressTest, EngineCountersEqualSumOfSessionProfiles) {
-  engine_->ResetStats();
+  const uint64_t scans_before = RegistryCount("engine.table_scans");
   std::atomic<uint64_t> session_scans{0};
   std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
@@ -313,9 +317,79 @@ TEST_F(ServerStressTest, EngineCountersEqualSumOfSessionProfiles) {
   }
   for (auto& thread : threads) thread.join();
   ASSERT_TRUE(ok.load());
-  EXPECT_EQ(engine_->stats().table_scans, session_scans.load());
+  EXPECT_EQ(RegistryCount("engine.table_scans") - scans_before,
+            session_scans.load());
   EXPECT_EQ(session_scans.load(),
             static_cast<uint64_t>(kThreads) * 3);
+}
+
+// The status frame's cache counters are the cache's own lookups, and every
+// lookup belongs to exactly one session: after CI-pruned sessions run to
+// completion on a fresh cache-enabled server, the frame's hits and misses
+// equal the sums over those sessions' profiles — contended or not.
+TEST_F(ServerStressTest, StatusCacheCountersEqualSumOfSessionProfiles) {
+  db::Engine engine(&catalog_);
+  engine.EnableResultCache(64 << 20);
+  ServerOptions options;
+  options.unix_path = socket_path_ + ".cache";
+  RecommendationServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  OpenSpec spec;
+  spec.k = 2;
+  spec.phases = 4;
+  spec.pruner = "ci";
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<bool> ok{true};
+  // One session on each of two selections, then every thread repeats both:
+  // the cold runs publish, the repeats adopt.
+  auto run = [&](Client* client, const std::string& id, int selection) {
+    OpenSpec open = spec;
+    open.sql = "SELECT * FROM synth WHERE dim0 = 'dim0_v" +
+               std::to_string(selection) + "'";
+    if (!client->Open(id, open).ok()) {
+      ok.store(false);
+      return;
+    }
+    auto result = client->Finish(id);
+    if (!result.ok()) {
+      ok.store(false);
+      return;
+    }
+    hits.fetch_add(result->profile.cache_hits);
+    misses.fetch_add(result->profile.cache_misses);
+  };
+  auto client = Client::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  run(&*client, "cold-1", 1);
+  run(&*client, "cold-2", 2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto own = Client::ConnectUnix(options.unix_path);
+      if (!own.ok()) {
+        ok.store(false);
+        return;
+      }
+      for (int selection : {1, 2}) {
+        run(&*own,
+            "warm-" + std::to_string(t) + "-" + std::to_string(selection),
+            selection);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  ASSERT_TRUE(ok.load());
+
+  auto status = client->GetStatus();
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_TRUE(status->cache_enabled);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_GT(misses.load(), 0u);
+  EXPECT_EQ(status->cache_hits, hits.load());
+  EXPECT_EQ(status->cache_misses, misses.load());
+  server.Stop();
 }
 
 }  // namespace

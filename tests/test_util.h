@@ -4,10 +4,13 @@
 #ifndef SEEDB_TESTS_TEST_UTIL_H_
 #define SEEDB_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/table.h"
+#include "obs/metrics.h"
 
 namespace seedb::testing {
 
@@ -16,6 +19,13 @@ namespace seedb::testing {
 /// Cambridge 180.55, Seattle 145.50, New York 122.00, San Francisco 90.13.
 /// Other products ("Widget") skew toward New York, so the Laserwave's
 /// per-store distribution deviates from the overall one (Scenario A).
+/// Current total of the process-wide obs registry counter `name` — where
+/// the engine keeps its totals (engine.queries, engine.table_scans, ...).
+/// Tests assert on the delta taken around the work they run.
+inline uint64_t RegistryCount(std::string_view name) {
+  return obs::Registry::Global().GetCounter(name)->Value();
+}
+
 inline db::Table MakeLaserwaveTable() {
   db::Schema schema({
       db::ColumnDef::Dimension("product"),

@@ -25,10 +25,14 @@ Rules:
       them, and a wall-clock stamp makes latency jump with NTP steps.
       Deliberate wall-clock use (log line timestamps) carries a
       "lint: allow-system-clock" marker.
+  R5  Every metric name passed as a string literal to GetCounter /
+      GetGauge / GetHistogram under src/ has a row in README.md's
+      Observability metrics table ("{a,b}" groups in a row expand to one
+      name each), so operators can look up what each `metrics` entry means.
 
 Suppression: append "lint: allow-<rule>" in a comment on the offending line
-(allow-mutex, allow-float-format, allow-map, allow-system-clock). Use
-sparingly and say why.
+(allow-mutex, allow-float-format, allow-map, allow-system-clock,
+allow-metric). Use sparingly and say why.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ NAKED_SYNC = re.compile(
 FLOAT_FORMAT = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[efgEFG]")
 STD_MAP = re.compile(r"std::(?:multi)?map\s*<")
 SYSTEM_CLOCK = re.compile(r"std::chrono::system_clock\b")
+METRIC_CALL = re.compile(r"Get(?:Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"")
+BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
 LINE_COMMENT = re.compile(r"//.*$")
 
 
@@ -58,6 +64,35 @@ def source_files(root: pathlib.Path) -> list[pathlib.Path]:
 
 def strip_comment(line: str) -> str:
     return LINE_COMMENT.sub("", line)
+
+
+def expand_braces(name: str) -> list[str]:
+    """`a.{b,c}_us` -> [`a.b_us`, `a.c_us`], recursively."""
+    group = BRACE_GROUP.search(name)
+    if group is None:
+        return [name]
+    return [
+        expanded
+        for alt in group.group(1).split(",")
+        for expanded in expand_braces(
+            name[: group.start()] + alt + name[group.end() :]
+        )
+    ]
+
+
+def documented_metrics() -> set[str]:
+    """Names in the first column of README's Observability metrics table."""
+    names: set[str] = set()
+    in_metrics = False
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith("#"):
+            in_metrics = line.strip() == "### Metrics"
+            continue
+        if in_metrics and line.startswith("|"):
+            first_cell = line.split("|")[1]
+            for name in re.findall(r"`([^`]+)`", first_cell):
+                names.update(expand_braces(name))
+    return names
 
 
 def check() -> list[str]:
@@ -121,6 +156,22 @@ def check() -> list[str]:
                         "ts_us stamps and trace timestamps must be "
                         "steady_clock [allow-system-clock]"
                     )
+
+    # R5: every registered metric name is documented.
+    documented = documented_metrics()
+    for path in source_files(REPO / "src"):
+        text = path.read_text()
+        lines = text.splitlines()
+        for match in METRIC_CALL.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            if "lint: allow-metric" in lines[lineno - 1]:
+                continue
+            if match.group(1) not in documented:
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: metric "
+                    f"'{match.group(1)}' has no row in README.md's "
+                    "Observability metrics table [allow-metric]"
+                )
 
     return errors
 

@@ -15,6 +15,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/seedb.h"
 #include "core/session.h"
@@ -103,10 +105,10 @@ class Cli {
         "  \\set budget <bytes>              per-session memory budget\n"
         "  \\set simd on|off                 explicit-SIMD kernel tier\n"
         "                                   (0 = unlimited)\n"
-        "  \\stats                           engine counters (scans, rows,\n"
-        "                                   vectorized morsels, ...)\n"
-        "  \\stats reset                     zero the engine counters and\n"
-        "                                   the obs metrics registry\n"
+        "  \\stats                           engine totals (scans, rows,\n"
+        "                                   vectorized morsels, ...; the\n"
+        "                                   server's if remote)\n"
+        "  \\stats reset                     zero the obs metrics registry\n"
         "  \\metrics                         obs registry snapshot (latency\n"
         "                                   histograms; server's if remote)\n"
         "  \\connect <socket|host:port|port> route queries to a seedb_server\n"
@@ -388,30 +390,59 @@ class Cli {
     return Status::OK();
   }
 
-  // Engine-wide execution counters, cumulative over this CLI session —
-  // vec_morsels shows whether the fused scans actually took the vectorized
-  // inner loop or fell back to the hash path. In remote mode the queries
-  // ran on the server's engine, whose counters these are NOT.
-  // `\stats reset` zeroes both the engine counters and the in-process obs
-  // registry, so back-to-back experiments measure from a clean slate.
+  // Engine-wide totals: the obs registry's engine.* counters (the server's
+  // registry when connected — that is where the queries ran), plus the
+  // result cache's footprint when the cache is on.
+  // engine.scan.vectorized_morsels shows whether the fused scans actually
+  // took the vectorized inner loop or fell back to the hash path.
+  // `\stats reset` zeroes the in-process registry, so back-to-back
+  // experiments measure from a clean slate.
   Status Stats(std::istringstream& in) {
     std::string arg;
     in >> arg;
     if (arg == "reset") {
-      engine_.ResetStats();
       obs::Registry::Global().Reset();
-      std::printf("engine counters and metrics registry reset\n");
+      std::printf("metrics registry reset%s\n",
+                  remote_.has_value() ? " (this CLI's; not the server's)"
+                                      : "");
       return Status::OK();
     }
     if (!arg.empty()) {
       return Status::InvalidArgument("usage: \\stats [reset]");
     }
+    std::vector<std::pair<std::string, uint64_t>> counters;
+    std::optional<uint64_t> cache_bytes;
     if (remote_.has_value()) {
-      std::printf("note: connected to a server — queries ran on the "
-                  "server's engine; the counters below cover only this "
-                  "CLI's in-process engine\n");
+      SEEDB_ASSIGN_OR_RETURN(server::JsonValue frame, remote_->Metrics());
+      if (const server::JsonValue* c = frame.Find("counters")) {
+        for (const auto& [name, value] : c->members()) {
+          counters.emplace_back(name, static_cast<uint64_t>(value.AsInt()));
+        }
+      }
+      SEEDB_ASSIGN_OR_RETURN(server::RemoteStatus status,
+                             remote_->GetStatus());
+      if (status.cache_enabled) cache_bytes = status.cache_bytes;
+    } else {
+      for (const obs::CounterValue& c :
+           obs::Registry::Global().TakeSnapshot().counters) {
+        counters.emplace_back(c.name, c.value);
+      }
+      if (const db::PartialAggCache* cache = engine_.result_cache()) {
+        cache_bytes = cache->stats().bytes;
+      }
     }
-    std::printf("%s\n", engine_.stats().ToString().c_str());
+    std::string line;
+    for (const auto& [name, value] : counters) {
+      if (name.rfind("engine.", 0) != 0) continue;
+      line += StringPrintf("%s%s=%llu", line.empty() ? "" : " ",
+                           name.c_str(),
+                           static_cast<unsigned long long>(value));
+    }
+    if (cache_bytes.has_value()) {
+      line += StringPrintf("%scache_bytes=%lluB", line.empty() ? "" : " ",
+                           static_cast<unsigned long long>(*cache_bytes));
+    }
+    std::printf("%s\n", line.empty() ? "no engine work yet" : line.c_str());
     return Status::OK();
   }
 
