@@ -136,11 +136,12 @@ void RunOnlinePruningExperiment() {
   Env env = BuildEnv();
   core::SeeDB seedb_engine(env.engine.get());
 
-  // Ground truth: the exhaustive fused scan (same strategy family, no
+  // Ground truth: the exhaustive fused scan (same strategy, one phase, no
   // pruner), so recall isolates what online pruning changes.
   core::SeeDBOptions truth_options;
   truth_options.k = 5;
-  truth_options.strategy = core::ExecutionStrategy::kSharedScan;
+  truth_options.strategy = core::ExecutionStrategy::kPhasedSharedScan;
+  truth_options.online_pruning.num_phases = 1;
   auto truth =
       seedb_engine.Recommend("t", env.selection, truth_options).ValueOrDie();
   auto truth_ids = bench::TopViewIds(truth);

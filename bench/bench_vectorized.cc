@@ -10,9 +10,9 @@
 // via vectorized_morsels >= 1).
 //
 // The explicit-SIMD tier (db/vec/simd/) adds simd-vs-scalar rows for the
-// compare/select/accumulate kernels plus a fused WHERE'd plan pair, and the
-// summary records simd_isa / speedups / fused_simd_morsels — CI asserts the
-// tier engaged on AVX2 legs, and tools/perf_gate.py warns whenever the simd
+// compare/select kernels plus a fused WHERE'd plan pair, and the summary
+// records simd_isa / speedups / fused_simd_morsels — CI asserts the tier
+// engaged on AVX2 legs, and tools/perf_gate.py warns whenever the simd
 // compare kernel fails to beat the scalar one.
 
 #include <benchmark/benchmark.h>
@@ -72,7 +72,6 @@ void RunExperiment() {
 
   // --- Per-kernel throughput over synthetic arrays. ---
   double simd_compare_speedup = 0.0;
-  double simd_accumulate_speedup = 0.0;
   {
     Random rng(7);
     std::vector<uint8_t> mask(kKernelRows);
@@ -152,62 +151,6 @@ void RunExperiment() {
         },
         kKernelRows);
     emit("kernel:accumulate_double", kKernelRows / rps * 1e3, rps, 0);
-
-    // Run-accumulation: CLUSTERED group ids (the shape sorted/low-cardinality
-    // dimension scans produce) are where the simd run-hoisted accumulators
-    // break the scalar loop's per-row read-modify-write dependency chain.
-    std::vector<uint32_t> run_gids(kKernelRows);
-    {
-      uint32_t g = 0;
-      size_t left = 0;
-      Random run_rng(11);
-      for (size_t i = 0; i < kKernelRows; ++i) {
-        if (left == 0) {
-          left = static_cast<size_t>(run_rng.UniformInt(64, 512));
-          g = static_cast<uint32_t>(run_rng.UniformInt(0, 24));
-        }
-        --left;
-        run_gids[i] = g;
-      }
-    }
-    double scalar_acc = KernelRowsPerSec(
-        [&] {
-          slab.Init(25, 1);
-          db::vec::AccumulateDoubleRange(run_gids.data(), 0, kKernelRows,
-                                         values.data(), nullptr, nullptr,
-                                         slab.slab(0));
-        },
-        kKernelRows);
-    emit("kernel:accumulate_double_runs", kKernelRows / scalar_acc * 1e3,
-         scalar_acc, 0);
-    double simd_acc = KernelRowsPerSec(
-        [&] {
-          slab.Init(25, 1);
-          db::vec::simd::AccumulateDoubleRange(run_gids.data(), 0, kKernelRows,
-                                               values.data(), nullptr, nullptr,
-                                               slab.slab(0));
-        },
-        kKernelRows);
-    emit("kernel:accumulate_double_runs_simd", kKernelRows / simd_acc * 1e3,
-         simd_acc, 0);
-    simd_accumulate_speedup = scalar_acc > 0.0 ? simd_acc / scalar_acc : 0.0;
-
-    rps = KernelRowsPerSec(
-        [&] {
-          slab.Init(25, 1);
-          db::vec::AccumulateCountRange(run_gids.data(), 0, kKernelRows,
-                                        nullptr, nullptr, slab.slab(0));
-        },
-        kKernelRows);
-    emit("kernel:count_runs", kKernelRows / rps * 1e3, rps, 0);
-    rps = KernelRowsPerSec(
-        [&] {
-          slab.Init(25, 1);
-          db::vec::simd::AccumulateCountRange(run_gids.data(), 0, kKernelRows,
-                                              nullptr, nullptr, slab.slab(0));
-        },
-        kKernelRows);
-    emit("kernel:count_runs_simd", kKernelRows / rps * 1e3, rps, 0);
   }
 
   // --- Fused single-query plan vs ExecuteGroupingSets, one core. ---
@@ -322,7 +265,6 @@ void RunExperiment() {
       .Key("speedup_vs_hash").Value(hash_ms / vec_ms)
       .Key("simd_isa").Value(db::vec::simd::IsaName())
       .Key("simd_compare_speedup").Value(simd_compare_speedup)
-      .Key("simd_accumulate_speedup").Value(simd_accumulate_speedup)
       .Key("fused_simd_morsels").Value(where_simd_stats.simd_morsels)
       .Key("simd_beats_scalar_compare").Value(simd_compare_speedup > 1.0)
       .Key("where_speedup_simd_vs_scalar")
@@ -335,11 +277,10 @@ void RunExperiment() {
               gs_ms / vec_ms, hash_ms / vec_ms,
               vec_ms < gs_ms ? "dense kernels WIN on one core"
                              : "REGRESSION: dense kernels lost");
-  std::printf("simd tier (%s): compare %.2fx, run-accumulate %.2fx vs the "
-              "scalar kernels; WHERE'd fused plan %.2fx (simd_morsels=%zu)\n",
+  std::printf("simd tier (%s): compare %.2fx vs the scalar kernel; "
+              "WHERE'd fused plan %.2fx (simd_morsels=%zu)\n",
               db::vec::simd::IsaName(), simd_compare_speedup,
-              simd_accumulate_speedup, where_scalar_ms / where_simd_ms,
-              where_simd_stats.simd_morsels);
+              where_scalar_ms / where_simd_ms, where_simd_stats.simd_morsels);
   bench::Footer();
 }
 

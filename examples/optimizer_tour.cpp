@@ -104,11 +104,11 @@ int main() {
     seedb::core::SeeDBOptions options;
     options.k = 3;
     options.optimizer = baseline;
-    options.strategy = seedb::core::ExecutionStrategy::kSharedScan;
+    options.strategy = seedb::core::ExecutionStrategy::kPhasedSharedScan;
+    options.online_pruning.num_phases = 1;
     options.parallelism = 4;
     RunOptions("shared scan (fused)", &seedb, &*workload, options);
 
-    options.strategy = seedb::core::ExecutionStrategy::kPhasedSharedScan;
     options.online_pruning.num_phases = 8;
     options.online_pruning.pruner =
         seedb::core::OnlinePruner::kConfidenceInterval;

@@ -17,8 +17,6 @@ const char* ExecutionStrategyToString(ExecutionStrategy strategy) {
   switch (strategy) {
     case ExecutionStrategy::kPerQuery:
       return "per-query";
-    case ExecutionStrategy::kSharedScan:
-      return "shared-scan";
     case ExecutionStrategy::kPhasedSharedScan:
       return "phased-shared-scan";
   }
@@ -56,6 +54,17 @@ bool RanksBefore(const ViewEstimate& a, const ViewEstimate& b) {
 
 namespace {
 
+// The MAB pruner halves by per-boundary estimate ORDER, and cache adoption
+// makes adopted views' estimates final from phase 1 — a warm MAB run would
+// halve different views than the cold run that seeded it. Such runs bypass
+// the cache so warm and cold MAB runs stay bit-identical; the safe CI
+// pruner (bound-based, never discards a potential top-k view) adopts
+// freely, and so does a one-phase run, which has no boundary to halve at.
+bool HalvesByEstimateOrder(const OnlinePruningOptions& pruning) {
+  return pruning.pruner == OnlinePruner::kMultiArmedBandit &&
+         pruning.num_phases > 1;
+}
+
 db::SharedScanOptions MakeScanOptions(const ExecutorOptions& options) {
   db::SharedScanOptions scan;
   scan.num_threads = options.parallelism;
@@ -63,14 +72,7 @@ db::SharedScanOptions MakeScanOptions(const ExecutorOptions& options) {
   scan.cancel = options.cancel;
   scan.enable_simd = options.enable_simd;
   scan.trace = options.trace;
-  // The MAB pruner halves by per-phase estimate ORDER, and cache adoption
-  // makes adopted views' estimates final from phase 1 — a warm MAB run
-  // would halve different views than the cold run that seeded it. Bypass
-  // the cache so warm and cold MAB runs stay bit-identical; the safe CI
-  // pruner (bound-based, never discards a potential top-k view) adopts
-  // freely.
-  scan.use_result_cache =
-      options.online_pruning.pruner != OnlinePruner::kMultiArmedBandit;
+  scan.use_result_cache = !HalvesByEstimateOrder(options.online_pruning);
   return scan;
 }
 
@@ -84,17 +86,6 @@ std::vector<db::GroupingSetsQuery> PlanQueries(const ExecutionPlan& plan) {
   queries.reserve(plan.queries.size());
   for (const PlannedQuery& pq : plan.queries) queries.push_back(pq.query);
   return queries;
-}
-
-// The one-shot fused scan (kSharedScan) is the phased machinery with a
-// single phase and no pruner — one code path handles cancellation,
-// partial-result materialization and reporting for both fused strategies.
-ExecutorOptions SinglePhaseOptions(const ExecutorOptions& options) {
-  ExecutorOptions run = options;
-  run.online_pruning.num_phases = 1;
-  run.online_pruning.pruner = OnlinePruner::kNone;
-  run.online_pruning.early_stop_stable_phases = 0;
-  return run;
 }
 
 }  // namespace
@@ -139,7 +130,6 @@ PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
   }
   pruner_ = OnlinePruningState(views_.size(), options_.online_pruning);
   total_phases_ = std::max<size_t>(1, options_.online_pruning.num_phases);
-  phase_seconds_.reserve(total_phases_);
 }
 
 Result<double> AutoUtilityRange(db::Engine* engine, const ExecutionPlan& plan,
@@ -181,8 +171,7 @@ Result<PhasedPlanExecution> PhasedPlanExecution::Begin(
   // Same bit-identity gate as MakeScanOptions: prior-tightened intervals
   // would also shift the MAB's estimate-order halving.
   if (db::PartialAggCache* cache = engine->result_cache();
-      cache != nullptr && resolved.online_pruning.pruner !=
-                              OnlinePruner::kMultiArmedBandit) {
+      cache != nullptr && !HalvesByEstimateOrder(resolved.online_pruning)) {
     run.SeedUtilityPriors(
         cache,
         engine->catalog()->TableVersion(plan.queries[0].query.table));
@@ -476,21 +465,17 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
                                             ExecutionReport* report) {
   Stopwatch total_timer;
 
-  if (options.strategy != ExecutionStrategy::kPerQuery &&
+  if (options.strategy == ExecutionStrategy::kPhasedSharedScan &&
       !plan.queries.empty()) {
     SEEDB_ASSIGN_OR_RETURN(
         PhasedPlanExecution run,
-        PhasedPlanExecution::Begin(
-            engine, plan, metric,
-            options.strategy == ExecutionStrategy::kSharedScan
-                ? SinglePhaseOptions(options)
-                : options));
+        PhasedPlanExecution::Begin(engine, plan, metric, options));
     bool budget_exceeded = false;
     while (!run.done()) {
       SEEDB_RETURN_IF_ERROR(run.Step(/*collect_estimates=*/false).status());
-      // Budget metering at the phase boundary (the one boundary a
-      // single-phase kSharedScan run has): a breach stops the scan here and
-      // the run finishes gracefully on the rows already merged.
+      // Budget metering at the phase boundary (a one-phase run has one): a
+      // breach stops the scan here and the run finishes gracefully on the
+      // rows already merged.
       if (options.memory_budget_bytes > 0 &&
           run.agg_state_bytes() > options.memory_budget_bytes) {
         budget_exceeded = true;
@@ -506,84 +491,64 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
     return views;
   }
 
-  ViewProcessor processor(metric);
-  bool cancelled = false;
-  bool budget_exceeded = false;
-  size_t queries_executed = 0;
-  std::vector<double> query_seconds(plan.queries.size(), 0.0);
   // Each query is its own table pass; the run's record sums them. The
   // per-query analogue of the fused scan's merged-state footprint: all
   // result groups are retained in the processor until Finish, so the
   // metered unit is the cumulative groups x aggregates x sizeof(AggState)
   // across the queries executed so far.
+  ViewProcessor processor(metric);
+  base::Mutex mu;
+  bool cancelled = false;
+  bool budget_exceeded = false;
+  Status first_error = Status::OK();
+  size_t queries_executed = 0;
+  std::vector<double> query_seconds(plan.queries.size(), 0.0);
   db::SharedScanStats scan;
-  const auto account = [&scan](const db::GroupingSetsStats& qstats) {
+  // One planned query. Once the run has stopped — cancelled, over budget
+  // or failed — no further query is issued. The pass itself runs unlocked;
+  // accounting and consumption (cheap) are serialized under `mu`.
+  const auto run_query = [&](size_t i) {
+    {
+      base::MutexLock lock(&mu);
+      if (cancelled || budget_exceeded || !first_error.ok()) return;
+      if (CancelRequested(options)) {
+        cancelled = true;
+        return;
+      }
+    }
+    Stopwatch qt;
+    db::GroupingSetsStats qstats;
+    Result<std::vector<db::Table>> result =
+        engine->Execute(plan.queries[i].query, &qstats);
+    const double elapsed = qt.ElapsedSeconds();
+    base::MutexLock lock(&mu);
+    query_seconds[i] = elapsed;
+    if (!first_error.ok()) return;
+    if (!result.ok()) {
+      first_error = result.status();
+      return;
+    }
+    ++queries_executed;
     scan.rows_scanned += qstats.rows_scanned;
     scan.total_groups += qstats.total_groups;
     scan.agg_state_bytes += qstats.agg_state_bytes;
-  };
-  if (options.parallelism <= 1) {
-    for (size_t i = 0; i < plan.queries.size(); ++i) {
-      if (CancelRequested(options)) {
-        cancelled = true;
-        break;
-      }
-      Stopwatch qt;
-      db::GroupingSetsStats qstats;
-      SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> results,
-                             engine->Execute(plan.queries[i].query, &qstats));
-      query_seconds[i] = qt.ElapsedSeconds();
-      ++queries_executed;
-      account(qstats);
-      SEEDB_RETURN_IF_ERROR(
-          processor.Consume(plan.queries[i], std::move(results)));
-      if (options.memory_budget_bytes > 0 &&
-          scan.agg_state_bytes > options.memory_budget_bytes) {
-        budget_exceeded = true;
-        break;
-      }
+    first_error =
+        processor.Consume(plan.queries[i], std::move(result).ValueOrDie());
+    if (options.memory_budget_bytes > 0 &&
+        scan.agg_state_bytes > options.memory_budget_bytes) {
+      budget_exceeded = true;
     }
+  };
+  // Serial runs the body inline, in plan order; parallel runs it on a pool
+  // no larger than the plan.
+  const size_t threads = std::min(options.parallelism, plan.queries.size());
+  if (threads <= 1) {
+    for (size_t i = 0; i < plan.queries.size(); ++i) run_query(i);
   } else {
-    // Parallel execution: queries run concurrently on the pool; consumption
-    // (cheap) is serialized under a mutex. A budget breach stops further
-    // queries from being issued, like cancellation.
-    ThreadPool pool(options.parallelism);
-    base::Mutex mu;
-    Status first_error = Status::OK();
-    pool.ParallelFor(0, plan.queries.size(), [&](size_t i) {
-      if (CancelRequested(options)) {
-        base::MutexLock lock(&mu);
-        cancelled = true;
-        return;
-      }
-      {
-        base::MutexLock lock(&mu);
-        if (budget_exceeded) return;
-      }
-      Stopwatch qt;
-      db::GroupingSetsStats qstats;
-      auto result = engine->Execute(plan.queries[i].query, &qstats);
-      double elapsed = qt.ElapsedSeconds();
-      base::MutexLock lock(&mu);
-      query_seconds[i] = elapsed;
-      if (!result.ok()) {
-        if (first_error.ok()) first_error = result.status();
-        return;
-      }
-      ++queries_executed;
-      account(qstats);
-      if (first_error.ok()) {
-        Status s =
-            processor.Consume(plan.queries[i], std::move(result).ValueOrDie());
-        if (!s.ok()) first_error = s;
-        if (options.memory_budget_bytes > 0 &&
-            scan.agg_state_bytes > options.memory_budget_bytes) {
-          budget_exceeded = true;
-        }
-      }
-    });
-    if (!first_error.ok()) return first_error;
+    ThreadPool pool(threads);
+    pool.ParallelFor(0, plan.queries.size(), run_query);
   }
+  SEEDB_RETURN_IF_ERROR(first_error);
 
   // A cancelled or budget-stopped per-query run may hold views with only
   // one half consumed (the other query never ran); those are dropped rather

@@ -7,20 +7,22 @@
 // over a thread pool; per-query latencies are recorded so benches can report
 // both sides of the trade-off.
 //
-// Three strategies are offered. kPerQuery is the paper's inter-query
+// Two strategies are offered. kPerQuery is the paper's inter-query
 // parallelism: each planned query is an independent pass over the table, and
-// the pool runs passes concurrently. kSharedScan is the logical endpoint of
-// §3.3's sharing argument: the whole plan is handed to db/shared_scan.h and
-// answered in ONE morsel-driven pass, with intra-scan parallelism — it gets
-// faster with cores, not with query count. kPhasedSharedScan runs that same
-// fused pass as N sequential table slices and, at each phase boundary,
+// the pool runs passes concurrently. kPhasedSharedScan is the logical
+// endpoint of §3.3's sharing argument: the whole plan is handed to
+// db/shared_scan.h and answered in morsel-driven passes with intra-scan
+// parallelism — it gets faster with cores, not with query count. The fused
+// pass runs as N sequential table slices and, at each phase boundary,
 // re-estimates every surviving view's utility from its running (un-finalized)
 // aggregates and lets an online pruner (core/online_pruning.h) retire views
 // that provably — or probably, depending on the strategy — cannot make the
 // top k. Each (query, grouping set, aggregate) triple no surviving view
 // reads is then retired from the scan, so the remaining phases accumulate,
 // merge and materialize only what live views still need — even when the
-// optimizer fused every view into one query.
+// optimizer fused every view into one query. With one phase there is no
+// boundary: the plan is ONE pass over the table (the wire and CLI name for
+// that is "shared-scan").
 
 #ifndef SEEDB_CORE_EXECUTOR_H_
 #define SEEDB_CORE_EXECUTOR_H_
@@ -43,11 +45,10 @@ namespace seedb::core {
 enum class ExecutionStrategy {
   /// One engine query per planned query; `parallelism` queries in flight.
   kPerQuery,
-  /// The whole plan fused into one morsel-driven table pass;
-  /// `parallelism` worker threads inside the scan.
-  kSharedScan,
-  /// The fused pass split into `online_pruning.num_phases` sequential row
-  /// slices with confidence-interval / MAB view pruning at each boundary.
+  /// The whole plan fused into one morsel-driven table pass, split into
+  /// `online_pruning.num_phases` sequential row slices with
+  /// confidence-interval / MAB view pruning at each boundary; `parallelism`
+  /// worker threads inside the scan. One phase = one plain fused pass.
   kPhasedSharedScan,
 };
 
@@ -55,34 +56,33 @@ const char* ExecutionStrategyToString(ExecutionStrategy strategy);
 
 struct ExecutorOptions {
   /// kPerQuery: queries executed concurrently (1 = serial).
-  /// kSharedScan / kPhasedSharedScan: morsel worker threads (0 = hardware
-  /// concurrency).
+  /// kPhasedSharedScan: morsel worker threads (0 = hardware concurrency).
   size_t parallelism = 1;
   ExecutionStrategy strategy = ExecutionStrategy::kPerQuery;
-  /// Rows per morsel for the fused strategies (0 = adaptive, re-derived at
+  /// Rows per morsel for the fused strategy (0 = adaptive, re-derived at
   /// every phase start from the phase's rows and the surviving query count —
   /// db::AdaptiveMorselRows).
   size_t morsel_rows = db::SharedScanOptions{}.morsel_rows;
-  /// Explicit-SIMD kernel tier inside the fused strategies' vectorized
+  /// Explicit-SIMD kernel tier inside the fused strategy's vectorized
   /// morsels (db/vec/simd/). Kill switch — results are bit-identical either
   /// way; the tier also self-disables on builds/CPUs without the ISA.
   bool enable_simd = true;
   /// Phase count, mid-flight pruner and early-stop policy for
-  /// kPhasedSharedScan (ignored by the other strategies). keep_k must be set
+  /// kPhasedSharedScan (ignored by kPerQuery). keep_k must be set
   /// for pruning to engage; the SeeDB facade wires it to the top-k request.
   OnlinePruningOptions online_pruning;
-  /// Cooperative cancellation token. Under the fused strategies it is
+  /// Cooperative cancellation token. Under the fused strategy it is
   /// observed at morsel boundaries inside the scan; under kPerQuery between
   /// queries. On cancellation the executor returns the views completed so
-  /// far (fused strategies: every survivor, estimated over the rows seen)
-  /// and sets ExecutionReport::cancelled. nullptr = not cancellable.
+  /// far (fused: every survivor, estimated over the rows seen) and sets
+  /// ExecutionReport::cancelled. nullptr = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
   /// Record obs trace spans for this run's scan phases and worker merge
   /// steps even when the recorder is not tracing all sessions.
   bool trace = false;
   /// Cap on the plan's aggregation-state footprint in bytes; 0 = unlimited.
-  /// Fused strategies meter the scan's merged agg state at every phase
-  /// boundary (one boundary for kSharedScan); kPerQuery meters the
+  /// The fused strategy meters the scan's merged agg state at every phase
+  /// boundary (one boundary for a one-phase run); kPerQuery meters the
   /// cumulative groups x aggregates x sizeof(AggState) of the results
   /// retained so far and stops issuing queries on a breach. Either way the
   /// run ends gracefully with ExecutionReport::budget_exceeded set and
@@ -94,17 +94,17 @@ struct ExecutorOptions {
 /// Latency breakdown of one plan execution. Which fields are populated
 /// depends on the strategy: per-query wall times only exist when queries
 /// actually run independently; a fused pass has per-*phase* wall times
-/// instead (one phase for kSharedScan). Nothing is ever attributed evenly
-/// across queries that shared a pass.
+/// instead. Nothing is ever attributed evenly across queries that shared a
+/// pass.
 struct ExecutionReport {
   /// Wall time to run the whole plan.
   double total_seconds = 0.0;
   /// Per planned-query wall time, in plan order. Populated under kPerQuery
-  /// only; empty under the fused strategies.
+  /// only; empty under kPhasedSharedScan.
   std::vector<double> query_seconds;
   /// Per-phase wall time of the fused pass, including each boundary's
-  /// estimate/prune bookkeeping. One entry under kSharedScan, one per phase
-  /// under kPhasedSharedScan, empty under kPerQuery.
+  /// estimate/prune bookkeeping. One entry per phase run under
+  /// kPhasedSharedScan, empty under kPerQuery.
   std::vector<double> phase_seconds;
   /// Phases the fused pass ran (0 under kPerQuery). Smaller than the
   /// requested phase count when the run early-stopped or was cancelled.

@@ -59,16 +59,17 @@ struct SeeDBOptions {
   PruningOptions pruning;           // default: no pruning
   OptimizerOptions optimizer;       // default: all combining on
   /// Concurrent query execution (§3.3 "Parallel Query Execution"), or
-  /// morsel worker threads under the fused strategies.
+  /// morsel worker threads under the fused strategy.
   size_t parallelism = 1;
-  /// Explicit-SIMD kernel tier (db/vec/simd/) inside the fused strategies'
+  /// Explicit-SIMD kernel tier (db/vec/simd/) inside the fused strategy's
   /// vectorized morsels. Kill switch — results are bit-identical either
   /// way, and the tier self-disables on builds/CPUs without the ISA.
   bool enable_simd = true;
-  /// kPerQuery runs each planned query as its own table pass; kSharedScan
-  /// fuses the whole plan into one morsel-driven pass (db/shared_scan.h);
-  /// kPhasedSharedScan additionally splits that pass into sequential phases
-  /// with online view pruning at each boundary.
+  /// kPerQuery runs each planned query as its own table pass;
+  /// kPhasedSharedScan fuses the whole plan into one morsel-driven pass
+  /// (db/shared_scan.h) split into `online_pruning.num_phases` sequential
+  /// phases, with online view pruning at each boundary. One phase is the
+  /// plain fused scan (the wire's and CLI's "shared-scan").
   ExecutionStrategy strategy = ExecutionStrategy::kPerQuery;
   /// Phase count and mid-flight pruner for kPhasedSharedScan. keep_k = 0
   /// (the default) is wired to this request's k at execution time; online
@@ -85,8 +86,8 @@ struct SeeDBOptions {
   /// Per-session cap on the run's aggregation-state footprint (bytes) — the
   /// working-memory trade-off §3.3 describes, made a hard limit so one
   /// greedy session cannot starve a multi-tenant server. Enforced under
-  /// every strategy: the fused strategies meter the scan's merged state at
-  /// phase boundaries (one boundary for kSharedScan); kPerQuery meters the
+  /// every strategy: the fused strategy meters the scan's merged state at
+  /// phase boundaries (one boundary for a one-phase run); kPerQuery meters the
   /// cumulative per-query result state and stops issuing queries on a
   /// breach. The Next() that observed the breach returns a graceful
   /// OutOfRange, and Finish() assembles partial results from the work

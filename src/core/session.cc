@@ -142,9 +142,9 @@ ExecutorOptions RecommendationSession::ExecOptions() const {
   }
   exec.cancel = cancel_.get();
   exec.trace = options_.trace;
-  // The blocking strategies enforce the session budget inside ExecutePlan
-  // (the phased session meters it itself at phase boundaries — CheckBudget —
-  // so PhasedPlanExecution ignores this field).
+  // kPerQuery enforces the session budget inside ExecutePlan (the phased
+  // session meters it itself at phase boundaries — CheckBudget — so
+  // PhasedPlanExecution ignores this field).
   exec.memory_budget_bytes = options_.memory_budget_bytes;
   return exec;
 }
@@ -178,8 +178,8 @@ Status RecommendationSession::Resume() {
   }
   if (phased_ == nullptr && executed_) {
     return Status::InvalidArgument(
-        "blocking strategies execute in one shot and cannot resume a "
-        "cancelled run; use the phased strategy for resumable sessions");
+        "per-query runs execute in one shot and cannot resume a cancelled "
+        "run; use the phased strategy for resumable sessions");
   }
   // Reset the token BEFORE re-opening the scan, or the resume pass would
   // observe it and cancel itself immediately.
@@ -235,9 +235,9 @@ Result<std::optional<ProgressUpdate>> RecommendationSession::NextPhased() {
   return std::optional<ProgressUpdate>(std::move(update));
 }
 
-// Non-phased strategies run in one shot: the first Next() executes the
-// whole plan and yields a single update carrying the final ranking with
-// degenerate (zero-width) bounds.
+// kPerQuery runs in one shot: the first Next() executes the whole plan and
+// yields a single update carrying the final ranking with degenerate
+// (zero-width) bounds.
 Result<std::optional<ProgressUpdate>> RecommendationSession::NextBlocking() {
   SEEDB_TRACE_SPAN_IF(next_span, "session.next_phase", trace_id_,
                       obs::TraceRecorder::ShouldTrace(options_.trace));
@@ -264,12 +264,9 @@ Result<std::optional<ProgressUpdate>> RecommendationSession::NextBlocking() {
   update.phase = 1;
   update.total_phases = 1;
   update.phase_seconds = exec_timer.ElapsedSeconds();
-  // Rows of the table consumed. Fused runs report the scan's own row count
-  // (exact even under cancellation); a cancelled per-query run estimates by
-  // the fraction of queries that completed — each one was a full table pass.
-  if (options_.strategy != ExecutionStrategy::kPerQuery) {
-    update.rows_scanned = report_.scan.rows_scanned;
-  } else if (report_.cancelled && !plan_->queries.empty()) {
+  // Rows of the table consumed. A cancelled run estimates by the fraction
+  // of queries that completed — each one was a full table pass.
+  if (report_.cancelled && !plan_->queries.empty()) {
     update.rows_scanned = static_cast<uint64_t>(total_rows_) *
                           report_.queries_executed / plan_->queries.size();
   } else {

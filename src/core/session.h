@@ -173,9 +173,9 @@ struct ProvisionalView {
   /// consumed the whole table).
   double utility = 0.0;
   /// Hoeffding confidence bounds (utility -/+ eps(m)); +/-infinity when the
-  /// interval is undefined (delta <= 0). The non-phased strategies yield
-  /// one final, exact ranking, so their bounds are zero-width (lower =
-  /// upper = utility).
+  /// interval is undefined (delta <= 0). kPerQuery yields one final, exact
+  /// ranking, so its bounds are zero-width (lower = upper = utility); a
+  /// one-phase fused run carries its one boundary's eps like any phase.
   double lower = 0.0;
   double upper = 0.0;
 };
@@ -196,8 +196,8 @@ struct ProgressUpdate {
   /// The Hoeffding half-width behind the provisional bounds.
   double ci_half_width = 0.0;
   /// Merged aggregation-state footprint of the scan after this phase, in
-  /// bytes — what SeeDBOptions::memory_budget_bytes meters (0 mid-run under
-  /// the blocking strategies, whose footprint is only known at the end).
+  /// bytes — what SeeDBOptions::memory_budget_bytes meters (0 under
+  /// kPerQuery, whose footprint is only known at the end).
   uint64_t memory_bytes = 0;
   /// Provisional top-k, utility descending. Empty when this boundary's
   /// estimates were not computable (e.g. no row matched the selection yet).
@@ -235,8 +235,8 @@ class RecommendationSession {
 
   /// Executes the next phase and reports it; nullopt once all phases ran
   /// (or the session was cancelled / early-stopped before this call).
-  /// Non-phased strategies execute in full on the first call and yield a
-  /// single update carrying the final ranking.
+  /// kPerQuery executes in full on the first call and yields a single
+  /// update carrying the final ranking.
   Result<std::optional<ProgressUpdate>> Next();
 
   /// Requests cooperative cancellation. An in-flight phase stops within one
@@ -249,11 +249,11 @@ class RecommendationSession {
   /// token is reset, the cut-short phase's missed morsels are scanned now
   /// (keeping the merged cross-phase aggregates — every row ends up covered
   /// exactly once), and Next() continues from the next phase; the final
-  /// top-k equals an uninterrupted run's. Only the phased strategy is
-  /// resumable — the blocking strategies execute in one shot, so a
-  /// cancelled run's work is gone (error), except that a session cancelled
-  /// before its first Next() just re-arms. Errors when the session is not
-  /// cancelled or already finished.
+  /// top-k equals an uninterrupted run's. Every fused run is resumable, a
+  /// one-phase one included. kPerQuery executes in one shot, so a cancelled
+  /// run's work is gone (error), except that a session cancelled before its
+  /// first Next() just re-arms. Errors when the session is not cancelled or
+  /// already finished.
   Status Resume();
 
   /// Attaches a push-style consumer: every ProgressUpdate this session
@@ -274,12 +274,12 @@ class RecommendationSession {
   bool budget_exceeded() const { return budget_exceeded_; }
 
   /// Phases actually executed so far — keeps counting when Finish() runs
-  /// the remaining phases silently (1 after a completed blocking run).
+  /// the remaining phases silently (1 after a completed per-query run).
   size_t phases_run() const;
 
   /// Merged aggregation-state footprint of the scan so far, in bytes (0
-  /// under the blocking strategies, which do not surface per-run
-  /// footprints) — what the memory budget meters.
+  /// under kPerQuery, which does not surface per-run footprints) — what the
+  /// memory budget meters.
   uint64_t memory_bytes() const;
 
   /// Terminal call: completes any remaining work (silently, no updates) and
@@ -315,11 +315,11 @@ class RecommendationSession {
   size_t total_rows_ = 0;
   Stopwatch total_timer_;
 
-  // Execution state. phased_ is engaged for kPhasedSharedScan; the other
-  // strategies execute blocking inside the first Next().
+  // Execution state. phased_ is engaged for kPhasedSharedScan; kPerQuery
+  // executes blocking inside the first Next().
   std::unique_ptr<PhasedPlanExecution> phased_;
   ExecutionReport report_;
-  /// Results of a completed blocking execution (non-phased strategies).
+  /// Results of a completed blocking (kPerQuery) execution.
   std::optional<std::vector<ViewResult>> blocking_results_;
   bool executed_ = false;
   bool finished_ = false;

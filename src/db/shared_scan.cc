@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -23,21 +22,19 @@ namespace seedb::db {
 namespace {
 
 // One grouping set of one query, resolved against the table for the scan.
-// Three inner-loop modes, decided once at Init:
+// Two inner-loop modes, decided once at Init:
 //   * vectorized — every grouping column is dictionary-coded and the
-//     composed group space fits the dense-slot budget: group ids come from
-//     the db/vec/ radix kernels and aggregates accumulate into flat slabs;
-//   * scalar dense — exactly one string column but vectorization is off (or
-//     the dictionary exceeds the budget): per-row code-indexed array;
-//   * hash — anything else: packed key tuples row at a time.
+//     composed group space fits kDenseSlotBudget: group ids come from the
+//     db/vec/ radix kernels and aggregates accumulate into flat slabs;
+//   * hash — anything else (a numeric column, an oversized group space, or
+//     enable_vectorized off): packed key tuples row at a time.
+// Both create groups in first-seen row order per worker, so they merge in
+// the same order and produce bit-identical results.
 struct SetSpec {
   std::vector<const Column*> cols;
   std::vector<size_t> col_indices;
-  /// Set iff the set runs the scalar dense path (one string column).
-  const Column* dense_col = nullptr;
-  /// Group-space slot count for either dense mode (scalar: dict_size() + 1
-  /// with the last slot standing for null; vectorized: the radix product of
-  /// per-column slot counts). 0 for the hash path.
+  /// Radix product of per-column slot counts when the set takes the
+  /// vectorized kernels; 0 for the hash path.
   size_t dense_slots = 0;
   /// True when the set takes the vectorized kernels.
   bool vectorized = false;
@@ -159,15 +156,14 @@ bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
   return false;
 }
 
-// Partial aggregation state one worker holds for one (query, grouping set).
-// Groups are created lazily from the masked rows the worker actually saw;
-// dense_slot / key identify each local group for the cross-worker merge.
+// Partial aggregation state one worker holds for one hash-path (query,
+// grouping set). Groups are created lazily from the masked rows the worker
+// actually saw; each local group's packed key identifies it for the
+// cross-worker merge.
 struct LocalGroups {
-  std::vector<int32_t> dense_to_local;
   std::unordered_map<std::vector<int64_t>, int32_t, internal::PackedKeyHash>
       key_to_local;
   std::vector<uint32_t> rep_row;
-  std::vector<size_t> dense_slot;
   std::vector<std::vector<int64_t>> keys;
   /// states[agg][local group].
   std::vector<std::vector<AggState>> states;
@@ -179,21 +175,17 @@ struct LocalGroups {
     return gid;
   }
 
-  /// Capacity-preserving per-phase reset, mirroring DenseAggTable::Reset:
-  /// only the dense_to_local slots mapped last phase are un-mapped (via the
-  /// dense_slot record) instead of re-assigning the whole array.
+  /// Capacity-preserving per-phase reset, mirroring DenseAggTable::Reset.
   void Reset() {
-    for (size_t slot : dense_slot) dense_to_local[slot] = -1;
     key_to_local.clear();
     rep_row.clear();
-    dense_slot.clear();
     keys.clear();
     for (auto& per_agg : states) per_agg.clear();
   }
 };
 
-// Per-worker accumulation state for one (query, grouping set): the hash /
-// scalar-dense LocalGroups or the vectorized flat slab, per the set's mode.
+// Per-worker accumulation state for one (query, grouping set): the hash
+// path's LocalGroups or the vectorized flat slab, per the set's mode.
 struct SetAccum {
   LocalGroups lg;
   vec::DenseAggTable dense;
@@ -232,9 +224,6 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
         continue;
       }
       if (fresh) {
-        if (set.dense_col) {
-          accum.lg.dense_to_local.assign(set.dense_slots, -1);
-        }
         accum.lg.states.resize(specs[q].aggs.size());
       } else {
         accum.lg.Reset();
@@ -257,26 +246,10 @@ void AccumulateRow(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
   }
 }
 
-// Runs one (query, set) over rows [lo, hi) of one morsel.
+// Runs one hash-path (query, set) over rows [lo, hi) of one morsel.
 void ScanMorsel(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
                 size_t lo, size_t hi, std::vector<int64_t>* key_scratch) {
   const std::vector<uint8_t>* mask = spec.mask;
-  if (set.dense_col) {
-    const auto& codes = set.dense_col->codes();
-    for (size_t i = lo; i < hi; ++i) {
-      if (mask && !(*mask)[i]) continue;
-      size_t slot = set.dense_col->IsNull(i) ? set.dense_slots - 1
-                                             : static_cast<size_t>(codes[i]);
-      int32_t gid = lg->dense_to_local[slot];
-      if (gid < 0) {
-        gid = lg->NewGroup(static_cast<uint32_t>(i));
-        lg->dense_to_local[slot] = gid;
-        lg->dense_slot.push_back(slot);
-      }
-      AccumulateRow(spec, set, lg, gid, i);
-    }
-    return;
-  }
   for (size_t i = lo; i < hi; ++i) {
     if (mask && !(*mask)[i]) continue;
     key_scratch->clear();
@@ -393,7 +366,6 @@ struct VecScratch {
 void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
                    size_t lo, size_t hi, const vec::SelectionVector* sel,
                    VecScratch* scratch) {
-  const bool use_simd = scratch->use_simd;
   const size_t n = sel != nullptr ? sel->size() : hi - lo;
   if (n == 0) return;
   if (scratch->gids.size() < n) scratch->gids.resize(n);
@@ -419,8 +391,6 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
       // COUNT(col) skips null inputs via the column's validity bytes.
       if (sel != nullptr) {
         vec::AccumulateCountSel(gids, *sel, filter, validity, slab);
-      } else if (use_simd) {
-        vec::simd::AccumulateCountRange(gids, lo, n, filter, validity, slab);
       } else {
         vec::AccumulateCountRange(gids, lo, n, filter, validity, slab);
       }
@@ -430,9 +400,6 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
       const int64_t* data = a.input->int64_data().data();
       if (sel != nullptr) {
         vec::AccumulateInt64Sel(gids, *sel, data, filter, validity, slab);
-      } else if (use_simd) {
-        vec::simd::AccumulateInt64Range(gids, lo, n, data, filter, validity,
-                                        slab);
       } else {
         vec::AccumulateInt64Range(gids, lo, n, data, filter, validity, slab);
       }
@@ -440,9 +407,6 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
       const double* data = a.input->double_data().data();
       if (sel != nullptr) {
         vec::AccumulateDoubleSel(gids, *sel, data, filter, validity, slab);
-      } else if (use_simd) {
-        vec::simd::AccumulateDoubleRange(gids, lo, n, data, filter, validity,
-                                         slab);
       } else {
         vec::AccumulateDoubleRange(gids, lo, n, data, filter, validity, slab);
       }
@@ -511,7 +475,8 @@ void WorkerLoop(const std::vector<QuerySpec>& specs,
 }
 
 // Merged (cross-worker, cross-phase) groups for one (query, set). Persists
-// across phases; each phase's worker partials fold into it.
+// across phases; each phase's worker partials fold into it. Vectorized sets
+// find their groups by dense slot, hash-path sets by packed key.
 struct GlobalGroups {
   std::vector<int32_t> dense_to_global;
   std::unordered_map<std::vector<int64_t>, int32_t, internal::PackedKeyHash>
@@ -520,40 +485,29 @@ struct GlobalGroups {
   std::vector<std::vector<AggState>> states;
 };
 
-// Folds one worker's partial state for one (query, set) into the persistent
-// global state. Key parts are table-global (dictionary codes / bit
-// patterns), so partials from different workers and phases merge correctly.
-// Only live aggregates merge: a retired aggregate's state stays frozen.
+// Folds one worker's hash-path partial state for one (query, set) into the
+// persistent global state. Key parts are table-global (dictionary codes /
+// bit patterns), so partials from different workers and phases merge
+// correctly. Only live aggregates merge: a retired aggregate's state stays
+// frozen.
 void MergeWorkerInto(const SetSpec& set, const LocalGroups& lg,
                      GlobalGroups* global) {
   for (size_t l = 0; l < lg.rep_row.size(); ++l) {
-    int32_t gid;
-    if (set.dense_col) {
-      int32_t& slot_gid = global->dense_to_global[lg.dense_slot[l]];
-      if (slot_gid < 0) {
-        slot_gid = static_cast<int32_t>(global->rep_row.size());
-        global->rep_row.push_back(lg.rep_row[l]);
-        for (auto& per_agg : global->states) per_agg.emplace_back();
-      }
-      gid = slot_gid;
-    } else {
-      auto [it, inserted] = global->key_to_global.emplace(
-          lg.keys[l], static_cast<int32_t>(global->rep_row.size()));
-      if (inserted) {
-        global->rep_row.push_back(lg.rep_row[l]);
-        for (auto& per_agg : global->states) per_agg.emplace_back();
-      }
-      gid = it->second;
+    auto [it, inserted] = global->key_to_global.emplace(
+        lg.keys[l], static_cast<int32_t>(global->rep_row.size()));
+    if (inserted) {
+      global->rep_row.push_back(lg.rep_row[l]);
+      for (auto& per_agg : global->states) per_agg.emplace_back();
     }
     for (uint32_t j : set.live_aggs) {
-      global->states[j][gid].Merge(lg.states[j][l]);
+      global->states[j][it->second].Merge(lg.states[j][l]);
     }
   }
 }
 
 // Folds one worker's vectorized flat slab into the persistent global state:
 // touched slots only, in first-seen order — the same group-creation order as
-// the scalar path's lazy creation, so global group ids (and therefore the
+// the hash path's lazy creation, so global group ids (and therefore the
 // float merge order) are identical whichever inner loop ran. That is what
 // makes dense and hash paths bit-identical, not merely close.
 void MergeDenseInto(const SetSpec& set, const vec::DenseAggTable& t,
@@ -756,26 +710,17 @@ class SharedScanState::Impl {
         }
         // Kernel selection: dense vectorized kernels when every grouping
         // column is dictionary-coded and the radix-composed group space
-        // fits the slot budget (the empty set — a global aggregate — is a
-        // 1-slot dense space); single oversized string dimensions keep the
-        // scalar dense path; everything else hashes packed key tuples.
-        // The budget is clamped to what the uint32 gid kernels can index —
-        // a larger configured budget must fall back to the hash path, not
-        // truncate slot counts into out-of-bounds slab writes.
-        const size_t slot_budget =
-            std::min<size_t>(options.dense_slot_budget,
-                             std::numeric_limits<uint32_t>::max());
+        // fits kDenseSlotBudget (the empty set — a global aggregate — is a
+        // 1-slot dense space); everything else hashes packed key tuples.
         const size_t dense_slots =
-            all_dict ? vec::DenseSlotCount(resolved.dims, slot_budget) : 0;
-        if (options.enable_vectorized && all_dict && dense_slots > 0) {
+            all_dict ? vec::DenseSlotCount(resolved.dims, kDenseSlotBudget)
+                     : 0;
+        if (options.enable_vectorized && dense_slots > 0) {
           resolved.vectorized = true;
           resolved.dense_slots = dense_slots;
-        } else if (resolved.cols.size() == 1 &&
-                   resolved.cols[0]->type() == ValueType::kString) {
-          resolved.dense_col = resolved.cols[0];
-          resolved.dense_slots = resolved.dense_col->dict_size() + 1;
+        } else {
+          resolved.dims.clear();
         }
-        if (!resolved.vectorized) resolved.dims.clear();
         spec.sets.push_back(std::move(resolved));
       }
 

@@ -7,7 +7,7 @@
 // The table is split into fixed-size row ranges (morsels) handed to a worker
 // pool. Each worker keeps private partial aggregation states per
 // (query, grouping set): categorical sets whose composed group space fits
-// the dense-slot budget take the vectorized kernels (db/vec/ — selection
+// kDenseSlotBudget take the vectorized kernels (db/vec/ — selection
 // vectors shared per distinct mask per morsel, dictionary codes radix-
 // composed straight to flat aggregation slabs), everything else hashes
 // packed key tuples row at a time. The partials are merged after each pass.
@@ -70,20 +70,15 @@ struct SharedScanOptions {
   /// vectors once per morsel, categorical grouping sets map dictionary codes
   /// (radix-composed for multi-attribute sets) straight to flat aggregation
   /// slabs — no packed-key hash. Off forces every grouping set onto the
-  /// hash / scalar-dense path; both paths produce bit-identical results.
+  /// hash path; both paths produce bit-identical results.
   bool enable_vectorized = true;
   /// Explicit-SIMD kernel tier (db/vec/simd/) inside vectorized morsels:
-  /// predicate compares, selection construction and run-accumulation use the
-  /// ISA the binary was built for (AVX2 / NEON). Kill switch only — the
-  /// tier also self-disables when the build or the CPU lacks the ISA
+  /// predicate compares and selection construction use the ISA the binary
+  /// was built for (AVX2 / NEON). Kill switch only — the tier also
+  /// self-disables when the build or the CPU lacks the ISA
   /// (vec::simd::Available()), and results are bit-identical either way.
   /// No effect when enable_vectorized is false.
   bool enable_simd = true;
-  /// Largest composed group-space (product of per-column dict_size + 1) a
-  /// grouping set may have and still take the dense kernels; above this the
-  /// set falls back to the hash path. Bounds per-worker slab memory at
-  /// slots * aggregates * sizeof(AggState).
-  size_t dense_slot_budget = 16384;
   /// Cross-session partial-aggregate cache (db/scan_cache.h); nullptr = off.
   /// With a cache, Init() partitions the batch's (query, grouping set)
   /// pairs into hits — merged states adopted directly, never scanned — and
@@ -106,6 +101,12 @@ struct SharedScanOptions {
   /// with trace_all_sessions. No effect while no recorder is active.
   bool trace = false;
 };
+
+/// Largest composed group space (product of per-column dict_size + 1) a
+/// grouping set may have and still take the vectorized kernels; above it the
+/// set takes the hash path. Bounds per-worker slab memory at
+/// slots * aggregates * sizeof(AggState).
+inline constexpr size_t kDenseSlotBudget = 16384;
 
 /// The morsel size `morsel_rows = 0` resolves to: aim for a handful of
 /// morsels per worker (so the shared counter still load-balances), with a
@@ -132,9 +133,11 @@ struct SharedScanStats {
   /// flat-slab aggregation, db/vec/) for at least one grouping set. 0 means
   /// the fast path was never taken — every set fell back to the hash path.
   size_t vectorized_morsels = 0;
-  /// Morsels whose vectorized inner loop additionally ran the explicit-SIMD
-  /// kernel tier (db/vec/simd/). Always <= vectorized_morsels; 0 when
-  /// enable_simd is off, the build is scalar, or the CPU lacks the ISA.
+  /// Vectorized morsels scanned with the explicit-SIMD kernel tier
+  /// (db/vec/simd/) engaged: their selections, when a query filters, are
+  /// built by the SIMD compare / select kernels. Always <=
+  /// vectorized_morsels; 0 when enable_simd is off, the build is scalar, or
+  /// the CPU lacks the ISA.
   size_t simd_morsels = 0;
   /// DenseAggTable slab allocations across all workers since Create().
   /// Multi-phase runs reuse per-worker slabs (capacity-preserving Reset), so

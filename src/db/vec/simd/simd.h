@@ -1,5 +1,5 @@
-// Explicit-SIMD kernel tier: vector-ISA variants of the db/vec/ compare,
-// selection-construction and accumulate kernels.
+// Explicit-SIMD kernel tier: vector-ISA variants of the db/vec/ compare and
+// selection-construction kernels.
 //
 // The ISA is selected at COMPILE time inside simd_kernels.cc (AVX2 on
 // x86-64, NEON on aarch64, scalar otherwise — see simd_internal.h); this
@@ -12,13 +12,13 @@
 //
 // Equivalence bar (same as scalar-vec vs hash): every kernel here is
 // BIT-identical to its scalar counterpart. Selection construction preserves
-// row order exactly; COUNT is integer; MIN/MAX mirror AggState's
-// `if (v < min)` semantics lane-wise (NaN never wins, first-seen ties are
-// value-equal); double SUM stays a sequential left-fold in row order —
-// lane-parallel float summation would reassociate and is deliberately NOT
-// done. Int64 SUM is vectorized only when an exactness precheck proves the
-// scalar fold is exact integer arithmetic (all partials well under 2^53),
-// in which case any association gives the same bits.
+// row order exactly, and compares match the scalar NaN and null semantics.
+//
+// Aggregate accumulation has no SIMD variant: the fused scan calls the
+// vec:: accumulate kernels directly on every tier. Vectorizing within runs
+// of equal group id does not pay when rows arrive in random group order, as
+// they do on the benchmark's workloads: the runs are too short to recoup
+// the probe that finds them.
 //
 // Byte masks passed to these kernels (filter / validity / selection masks)
 // must hold 0 or 1 per byte — the engine-wide convention.
@@ -70,37 +70,18 @@ void SelectCompareCode(const int32_t* codes, const uint8_t* validity,
                        const uint8_t* code_match, size_t row_begin,
                        size_t row_end, SelectionVector* sel);
 
-// -- Accumulate kernels over contiguous gid runs -----------------------------
+// -- Accumulate forwards ------------------------------------------------------
 //
-// Same contracts as aggregate_kernels.h. The Range variants segment the gid
-// vector into runs of equal group id (one cheap vector compare per block)
-// and vectorize within long runs: COUNT becomes a popcount of the pass
-// mask, MIN/MAX a lane-wise compare+blend fold, int64 SUM an integer vector
-// sum when provably exact; short runs and filtered/nullable rows fall back
-// to the per-row AggState update, so results stay bit-identical on any gid
-// distribution. The Sel variants (gathered rows) stay scalar — they forward
-// to the vec:: kernels.
+// One-line forwards to the vec:: kernels of the same name, with no vector
+// code of their own. They exist only because benchmark/layers.cc measures
+// them under this tier's name; the scan never calls them.
 
 void AccumulateCountRange(const uint32_t* gids, size_t row_begin, size_t n,
                           const uint8_t* filter, const uint8_t* validity,
                           AggState* slab);
-void AccumulateCountSel(const uint32_t* gids, const SelectionVector& sel,
-                        const uint8_t* filter, const uint8_t* validity,
-                        AggState* slab);
-
-void AccumulateInt64Range(const uint32_t* gids, size_t row_begin, size_t n,
-                          const int64_t* data, const uint8_t* filter,
-                          const uint8_t* validity, AggState* slab);
-void AccumulateInt64Sel(const uint32_t* gids, const SelectionVector& sel,
-                        const int64_t* data, const uint8_t* filter,
-                        const uint8_t* validity, AggState* slab);
-
 void AccumulateDoubleRange(const uint32_t* gids, size_t row_begin, size_t n,
                            const double* data, const uint8_t* filter,
                            const uint8_t* validity, AggState* slab);
-void AccumulateDoubleSel(const uint32_t* gids, const SelectionVector& sel,
-                         const double* data, const uint8_t* filter,
-                         const uint8_t* validity, AggState* slab);
 
 }  // namespace seedb::db::vec::simd
 

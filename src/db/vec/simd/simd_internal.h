@@ -13,10 +13,10 @@
 //
 // The kernels are written against an 8-row "bit block" model that every ISA
 // can produce: compare / test 8 consecutive rows, get back an 8-bit mask
-// (bit j = row j, LSB first), then drive a shared emit / count / accumulate
-// loop off the bits. AVX2 additionally gets a permute-LUT compress store
-// and 32-byte mask blocks; NEON narrows 128-bit compare results to bytes
-// and uses the same bit engine.
+// (bit j = row j, LSB first), then drive a shared emit loop off the bits.
+// AVX2 additionally gets a permute-LUT compress store and 32-byte mask
+// blocks; NEON narrows 128-bit compare results to bytes and uses the same
+// bit engine.
 
 #ifndef SEEDB_DB_VEC_SIMD_SIMD_INTERNAL_H_
 #define SEEDB_DB_VEC_SIMD_SIMD_INTERNAL_H_

@@ -1,10 +1,5 @@
 #include "db/vec/simd/simd.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
-
 #include "db/vec/simd/simd_internal.h"
 
 namespace seedb::db::vec::simd {
@@ -444,282 +439,8 @@ void SelectCompareCode(const int32_t* codes, const uint8_t* validity,
 
 #endif  // ISA
 
-// ---------------------------------------------------------------------------
-// Accumulate kernels over contiguous gid runs. Fully vectorized on AVX2;
-// on NEON (and scalar builds) they forward to the scalar kernels — the
-// compare/select tier above is where aarch64 gets its wins for now.
-// ---------------------------------------------------------------------------
-
-#if defined(SEEDB_SIMD_AVX2)
-
-namespace {
-
-/// Minimum run length for the vectorized per-run fast paths; shorter runs
-/// use the per-row AggState update. Streams whose probed mean run length
-/// falls below kRunMin / 2 skip the per-run walk entirely (see
-/// MostlyShortRuns) so random gid streams pay only the probe.
-constexpr size_t kRunMin = 16;
-
-/// 2^52 — precheck budget for the exact int64 sum (factor-2 margin under
-/// the 2^53 integer-exactness limit absorbs the rounding in the check
-/// itself).
-constexpr double kExactSumLimit = 4503599627370496.0;
-
-/// End of the run of gids[k] within [k, n): a short scalar probe, then
-/// 8-wide vector extension for runs that look long.
-inline size_t RunEnd(const uint32_t* gids, size_t k, size_t n) {
-  const uint32_t g = gids[k];
-  size_t e = k + 1;
-  const size_t probe_end = std::min(n, k + 4);
-  while (e < probe_end && gids[e] == g) ++e;
-  if (e < probe_end || e == n) return e;
-  const __m256i vg = _mm256_set1_epi32(static_cast<int>(g));
-  while (e + 8 <= n) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(gids + e));
-    const uint32_t eq = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(chunk, vg))));
-    if (eq != 0xFFu) return e + __builtin_ctz(~eq & 0xFFu);
-    e += 8;
-  }
-  while (e < n && gids[e] == g) ++e;
-  return e;
-}
-
-/// True when a prefix probe says gid runs are too short for the per-run
-/// fast paths to recoup the RunEnd scanning cost. Callers delegate to the
-/// plain kernels, whose hoisted row loop is cheaper on random gid streams.
-inline bool MostlyShortRuns(const uint32_t* gids, size_t n) {
-  const size_t probe = std::min<size_t>(n, 512);
-  if (probe < kRunMin) return true;
-  size_t breaks = 1;  // the first run's start
-  size_t i = 1;
-  for (; i + 8 <= probe; i += 8) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(gids + i - 1));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(gids + i));
-    const uint32_t eq = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))));
-    breaks += 8 - __builtin_popcount(eq & 0xFFu);
-  }
-  for (; i < probe; ++i) breaks += (gids[i] != gids[i - 1]) ? 1 : 0;
-  return probe < breaks * (kRunMin / 2);  // mean run length below 8
-}
-
-/// Rows of [lo, hi) passing filter and validity, by popcount over 32-byte
-/// blocks. At least one of the two masks is non-null.
-inline int64_t CountPassBytes(const uint8_t* filter, const uint8_t* validity,
-                              size_t lo, size_t hi) {
-  int64_t c = 0;
-  size_t i = lo;
-  if (filter != nullptr && validity != nullptr) {
-    const __m256i zero = _mm256_setzero_si256();
-    for (; i + 32 <= hi; i += 32) {
-      const __m256i f = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(filter + i));
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(validity + i));
-      const __m256i both = _mm256_and_si256(f, v);
-      c += __builtin_popcount(~static_cast<uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(both, zero))));
-    }
-    for (; i < hi; ++i) c += (filter[i] != 0 && validity[i] != 0) ? 1 : 0;
-  } else {
-    const uint8_t* m = filter != nullptr ? filter : validity;
-    for (; i + 32 <= hi; i += 32) {
-      c += __builtin_popcount(internal::NonzeroBytes32(m + i));
-    }
-    for (; i < hi; ++i) c += (m[i] != 0) ? 1 : 0;
-  }
-  return c;
-}
-
-struct I64Run {
-  int64_t min;
-  int64_t max;
-  int64_t sum;  // wrapping; only used when the exactness precheck passes
-};
-
-/// Min/max/sum of data[0, len), len >= 1. Sums wrap modulo 2^64 (the
-/// vector adds at the bit level, the scalar tail in unsigned arithmetic) —
-/// callers discard the sum unless the precheck proves no wrap occurred.
-inline I64Run I64RunStats(const int64_t* data, size_t len) {
-  int64_t mn;
-  int64_t mx;
-  uint64_t sum;
-  size_t j;
-  if (len >= 4) {
-    __m256i vmin = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
-    __m256i vmax = vmin;
-    __m256i vsum = vmin;
-    for (j = 4; j + 4 <= len; j += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + j));
-      // No native 64-bit min/max in AVX2: derive from cmpgt + blend.
-      vmin = _mm256_blendv_epi8(vmin, v, _mm256_cmpgt_epi64(vmin, v));
-      vmax = _mm256_blendv_epi8(vmax, v, _mm256_cmpgt_epi64(v, vmax));
-      vsum = _mm256_add_epi64(vsum, v);
-    }
-    alignas(32) int64_t a[4];
-    alignas(32) int64_t b[4];
-    alignas(32) int64_t s[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(a), vmin);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(b), vmax);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(s), vsum);
-    mn = std::min(std::min(a[0], a[1]), std::min(a[2], a[3]));
-    mx = std::max(std::max(b[0], b[1]), std::max(b[2], b[3]));
-    sum = static_cast<uint64_t>(s[0]) + static_cast<uint64_t>(s[1]) +
-          static_cast<uint64_t>(s[2]) + static_cast<uint64_t>(s[3]);
-  } else {
-    mn = mx = data[0];
-    sum = static_cast<uint64_t>(data[0]);
-    j = 1;
-  }
-  for (; j < len; ++j) {
-    const int64_t v = data[j];
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-    sum += static_cast<uint64_t>(v);
-  }
-  return {mn, mx, static_cast<int64_t>(sum)};
-}
-
-struct F64Run {
-  double min;
-  double max;
-};
-
-/// Min/max of data[0, len) with AggState semantics: accumulators start at
-/// +/-inf and a value only replaces them on a strict ordered compare, so
-/// NaN lanes never win — exactly the scalar `if (v < min) min = v`.
-inline F64Run F64RunMinMax(const double* data, size_t len) {
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  size_t j = 0;
-  if (len >= 4) {
-    __m256d vmin = _mm256_set1_pd(mn);
-    __m256d vmax = _mm256_set1_pd(mx);
-    for (; j + 4 <= len; j += 4) {
-      const __m256d v = _mm256_loadu_pd(data + j);
-      vmin = _mm256_blendv_pd(vmin, v, _mm256_cmp_pd(v, vmin, _CMP_LT_OQ));
-      vmax = _mm256_blendv_pd(vmax, v, _mm256_cmp_pd(v, vmax, _CMP_GT_OQ));
-    }
-    alignas(32) double a[4];
-    alignas(32) double b[4];
-    _mm256_store_pd(a, vmin);
-    _mm256_store_pd(b, vmax);
-    for (int l = 0; l < 4; ++l) {
-      if (a[l] < mn) mn = a[l];
-      if (b[l] > mx) mx = b[l];
-    }
-  }
-  for (; j < len; ++j) {
-    const double v = data[j];
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  }
-  return {mn, mx};
-}
-
-}  // namespace
-
-void AccumulateCountRange(const uint32_t* gids, size_t row_begin, size_t n,
-                          const uint8_t* filter, const uint8_t* validity,
-                          AggState* slab) {
-  if (MostlyShortRuns(gids, n)) {
-    vec::AccumulateCountRange(gids, row_begin, n, filter, validity, slab);
-    return;
-  }
-  size_t k = 0;
-  while (k < n) {
-    const size_t e = RunEnd(gids, k, n);
-    AggState& st = slab[gids[k]];
-    if (filter == nullptr && validity == nullptr) {
-      st.count += static_cast<int64_t>(e - k);
-    } else {
-      st.count += CountPassBytes(filter, validity, row_begin + k,
-                                 row_begin + e);
-    }
-    k = e;
-  }
-}
-
-void AccumulateInt64Range(const uint32_t* gids, size_t row_begin, size_t n,
-                          const int64_t* data, const uint8_t* filter,
-                          const uint8_t* validity, AggState* slab) {
-  // The run fast path needs unfiltered, unmasked rows and long runs;
-  // everything else is better off in the plain kernel's hoisted loop.
-  if (filter != nullptr || validity != nullptr || MostlyShortRuns(gids, n)) {
-    vec::AccumulateInt64Range(gids, row_begin, n, data, filter, validity,
-                              slab);
-    return;
-  }
-  size_t k = 0;
-  while (k < n) {
-    const size_t e = RunEnd(gids, k, n);
-    AggState& st = slab[gids[k]];
-    const size_t len = e - k;
-    bool done = false;
-    if (len >= kRunMin) {
-      const I64Run r = I64RunStats(data + row_begin + k, len);
-      const double mn = static_cast<double>(r.min);
-      const double mx = static_cast<double>(r.max);
-      const double amax = std::max(std::fabs(mn), std::fabs(mx));
-      // Exactness precheck: if every sequential partial sum is bounded by
-      // 2^53, scalar double addition of these integers is exact, so the
-      // (order-free) integer vector sum produces the same bits.
-      if (std::fabs(st.sum) + static_cast<double>(len) * amax <=
-          kExactSumLimit) {
-        st.count += static_cast<int64_t>(len);
-        st.sum += static_cast<double>(r.sum);
-        if (mn < st.min) st.min = mn;
-        if (mx > st.max) st.max = mx;
-        done = true;
-      }
-    }
-    if (!done) {
-      for (size_t j = k; j < e; ++j) {
-        st.Add(static_cast<double>(data[row_begin + j]));
-      }
-    }
-    k = e;
-  }
-}
-
-void AccumulateDoubleRange(const uint32_t* gids, size_t row_begin, size_t n,
-                           const double* data, const uint8_t* filter,
-                           const uint8_t* validity, AggState* slab) {
-  if (filter != nullptr || validity != nullptr || MostlyShortRuns(gids, n)) {
-    vec::AccumulateDoubleRange(gids, row_begin, n, data, filter, validity,
-                               slab);
-    return;
-  }
-  size_t k = 0;
-  while (k < n) {
-    const size_t e = RunEnd(gids, k, n);
-    AggState& st = slab[gids[k]];
-    const size_t len = e - k;
-    if (len >= kRunMin) {
-      const double* p = data + row_begin + k;
-      const F64Run r = F64RunMinMax(p, len);
-      // SUM stays a sequential left-fold in row order: lane-splitting
-      // would reassociate floating-point addition and break bit-identity
-      // with the scalar and hash paths.
-      double s = st.sum;
-      for (size_t j = 0; j < len; ++j) s += p[j];
-      st.sum = s;
-      st.count += static_cast<int64_t>(len);
-      if (r.min < st.min) st.min = r.min;
-      if (r.max > st.max) st.max = r.max;
-    } else {
-      for (size_t j = k; j < e; ++j) st.Add(data[row_begin + j]);
-    }
-    k = e;
-  }
-}
-
-#else  // !SEEDB_SIMD_AVX2
+// The plain kernels, kept callable under this tier's name for
+// benchmark/layers.cc, which measures them beside the compare kernels.
 
 void AccumulateCountRange(const uint32_t* gids, size_t row_begin, size_t n,
                           const uint8_t* filter, const uint8_t* validity,
@@ -727,39 +448,10 @@ void AccumulateCountRange(const uint32_t* gids, size_t row_begin, size_t n,
   vec::AccumulateCountRange(gids, row_begin, n, filter, validity, slab);
 }
 
-void AccumulateInt64Range(const uint32_t* gids, size_t row_begin, size_t n,
-                          const int64_t* data, const uint8_t* filter,
-                          const uint8_t* validity, AggState* slab) {
-  vec::AccumulateInt64Range(gids, row_begin, n, data, filter, validity, slab);
-}
-
 void AccumulateDoubleRange(const uint32_t* gids, size_t row_begin, size_t n,
                            const double* data, const uint8_t* filter,
                            const uint8_t* validity, AggState* slab) {
   vec::AccumulateDoubleRange(gids, row_begin, n, data, filter, validity, slab);
-}
-
-#endif  // SEEDB_SIMD_AVX2
-
-// Sel (gathered-row) variants stay scalar on every ISA: the indirection
-// defeats contiguous loads, and the scalar kernels are already tight.
-
-void AccumulateCountSel(const uint32_t* gids, const SelectionVector& sel,
-                        const uint8_t* filter, const uint8_t* validity,
-                        AggState* slab) {
-  vec::AccumulateCountSel(gids, sel, filter, validity, slab);
-}
-
-void AccumulateInt64Sel(const uint32_t* gids, const SelectionVector& sel,
-                        const int64_t* data, const uint8_t* filter,
-                        const uint8_t* validity, AggState* slab) {
-  vec::AccumulateInt64Sel(gids, sel, data, filter, validity, slab);
-}
-
-void AccumulateDoubleSel(const uint32_t* gids, const SelectionVector& sel,
-                         const double* data, const uint8_t* filter,
-                         const uint8_t* validity, AggState* slab) {
-  vec::AccumulateDoubleSel(gids, sel, data, filter, validity, slab);
 }
 
 }  // namespace seedb::db::vec::simd

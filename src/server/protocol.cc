@@ -11,19 +11,40 @@
 namespace seedb::server {
 namespace {
 
-Result<core::ExecutionStrategy> ParseStrategy(const std::string& name) {
+// Applies a wire strategy name to `request`; true for "shared-scan" (or
+// "shared"), the one-pass fused scan, whose phase count the caller settles
+// once every field is read.
+Result<bool> ApplyStrategy(const std::string& name,
+                           core::SeeDBRequest* request) {
   if (name == "per-query" || name == "perquery") {
-    return core::ExecutionStrategy::kPerQuery;
+    request->WithStrategy(core::ExecutionStrategy::kPerQuery);
+    return false;
   }
-  if (name == "shared-scan" || name == "shared") {
-    return core::ExecutionStrategy::kSharedScan;
-  }
-  if (name == "phased-shared-scan" || name == "phased") {
-    return core::ExecutionStrategy::kPhasedSharedScan;
+  const bool one_pass = name == "shared-scan" || name == "shared";
+  if (one_pass || name == "phased-shared-scan" || name == "phased") {
+    request->WithStrategy(core::ExecutionStrategy::kPhasedSharedScan);
+    return one_pass;
   }
   return Status::InvalidArgument(
       "unknown strategy '" + name +
       "' (expected per-query|shared-scan|phased-shared-scan)");
+}
+
+// A count field of an `open` request. Absent, non-numeric or below 1 reads
+// as 0 ("server default"); above `max` is InvalidArgument. The bound is
+// checked on the JSON double before any integer cast, so no number can
+// overflow it.
+Result<size_t> BoundedCount(const JsonValue& request, const char* key,
+                            size_t max) {
+  const JsonValue* field = request.Find(key);
+  if (field == nullptr || !field->is_number()) return size_t{0};
+  const double value = field->AsDouble();
+  if (value > static_cast<double>(max)) {
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\" must be at most " +
+                                   std::to_string(max));
+  }
+  return value >= 1.0 ? static_cast<size_t>(value) : size_t{0};
 }
 
 JsonValue ViewToJson(const core::ProvisionalView& pv) {
@@ -237,14 +258,14 @@ Result<core::SeeDBRequest> OpenRequestFromJson(const JsonValue& request) {
                            core::ParseDistanceMetric(metric));
     req->WithMetric(m);
   }
+  bool one_pass = false;
   if (const std::string strategy = request.GetString("strategy");
       !strategy.empty()) {
-    SEEDB_ASSIGN_OR_RETURN(core::ExecutionStrategy s, ParseStrategy(strategy));
-    req->WithStrategy(s);
+    SEEDB_ASSIGN_OR_RETURN(one_pass, ApplyStrategy(strategy, &*req));
   }
-  if (int64_t phases = request.GetInt("phases"); phases > 0) {
-    req->WithPhases(static_cast<size_t>(phases));
-  }
+  SEEDB_ASSIGN_OR_RETURN(size_t phases,
+                         BoundedCount(request, "phases", kMaxOpenPhases));
+  if (phases > 0) req->WithPhases(phases);
   if (const std::string pruner = request.GetString("pruner"); !pruner.empty()) {
     SEEDB_ASSIGN_OR_RETURN(core::OnlinePruner p,
                            core::ParseOnlinePruner(pruner));
@@ -252,6 +273,15 @@ Result<core::SeeDBRequest> OpenRequestFromJson(const JsonValue& request) {
   }
   if (int64_t early_stop = request.GetInt("early_stop"); early_stop > 0) {
     req->WithEarlyStop(static_cast<size_t>(early_stop));
+  }
+  // The one-pass scan is the phased strategy with one phase. Like any
+  // strategy name, it yields to the fields that ask for a phased run —
+  // `phases`, a pruner, early stop — which keep their phase count.
+  if (const core::OnlinePruningOptions& pruning =
+          req->options().online_pruning;
+      one_pass && phases == 0 && pruning.pruner == core::OnlinePruner::kNone &&
+      pruning.early_stop_stable_phases == 0) {
+    req->WithPhases(1);
   }
   // The Hoeffding knobs have no fluent setter (they are expert-only);
   // rebuild the options payload for them.
@@ -270,9 +300,10 @@ Result<core::SeeDBRequest> OpenRequestFromJson(const JsonValue& request) {
   if (int64_t budget = request.GetInt("memory_budget"); budget > 0) {
     req->WithMemoryBudget(static_cast<size_t>(budget));
   }
-  if (int64_t parallelism = request.GetInt("parallelism"); parallelism > 0) {
-    req->WithParallelism(static_cast<size_t>(parallelism));
-  }
+  SEEDB_ASSIGN_OR_RETURN(
+      size_t parallelism,
+      BoundedCount(request, "parallelism", kMaxOpenParallelism));
+  if (parallelism > 0) req->WithParallelism(parallelism);
   if (request.GetBool("trace")) req->WithTrace(true);
   return std::move(*req);
 }

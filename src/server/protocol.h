@@ -104,6 +104,12 @@ Result<Handshake> HandshakeFromJson(const JsonValue& response);
 
 // --- Open requests ---
 
+/// Upper bounds on the `open` fields that size per-session allocations and
+/// thread pools; a larger value answers `invalid_argument`. Every client in
+/// this repository sends far less (the benchmark: 10 phases, 4 threads).
+inline constexpr size_t kMaxOpenPhases = 1024;
+inline constexpr size_t kMaxOpenParallelism = 64;
+
 /// \brief Client-side description of an `open` request: which analyst query
 /// to answer and how to execute it. String-typed knobs use the same names
 /// the CLI accepts; zero/empty fields mean "server default".
@@ -115,14 +121,16 @@ struct OpenSpec {
   size_t k = 0;
   size_t bottom_k = 0;
   std::string metric;    // core::ParseDistanceMetric names
-  std::string strategy;  // per-query | shared-scan | phased-shared-scan
-  size_t phases = 0;
+  /// per-query | shared-scan | phased-shared-scan. shared-scan is the
+  /// phased strategy with one phase; `phases` overrides the count.
+  std::string strategy;
+  size_t phases = 0;  // <= kMaxOpenPhases
   std::string pruner;  // none | ci | mab
   size_t early_stop = 0;
   double delta = -1.0;          // < 0 = default
   double utility_range = -1.0;  // < 0 = default
   size_t memory_budget = 0;     // bytes; 0 = unlimited
-  size_t parallelism = 0;       // 0 = default
+  size_t parallelism = 0;       // 0 = default; <= kMaxOpenParallelism
   /// Mark the session's engine-side spans recordable by the server's
   /// obs::TraceRecorder (SeeDBRequest::WithTrace). No effect unless the
   /// server runs with --trace-out.
@@ -133,7 +141,8 @@ struct OpenSpec {
 JsonValue OpenRequestToJson(const std::string& id, const OpenSpec& spec);
 
 /// Builds the core request an `open` message describes. Unknown metric /
-/// strategy / pruner names and missing sql+table are InvalidArgument.
+/// strategy / pruner names, missing sql+table and `phases` / `parallelism`
+/// above their kMaxOpen* bound are InvalidArgument.
 Result<core::SeeDBRequest> OpenRequestFromJson(const JsonValue& request);
 
 // --- Response frames, server-side encoders ---

@@ -55,6 +55,8 @@ class ExecutorTest : public ::testing::Test {
     ExecutorOptions exec;
     exec.parallelism = parallelism;
     exec.strategy = strategy;
+    // The fused strategy scans in one phase here: one plain pass.
+    exec.online_pruning.num_phases = 1;
     return ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers, exec,
                        report)
         .ValueOrDie();
@@ -182,7 +184,7 @@ TEST_F(ExecutorTest, ParallelPerQueryReportCountsOnlyItsOwnRun) {
   }
 }
 
-// The shared-scan strategy computes the same utilities as per-query
+// The one-phase fused scan computes the same utilities as per-query
 // execution for every optimizer configuration (it is a pure execution-layer
 // transformation, like the §3.3 combines).
 class SharedScanEquivalenceTest : public ExecutorTest,
@@ -197,7 +199,7 @@ TEST_P(SharedScanEquivalenceTest, SharedScanMatchesPerQuery) {
 
   auto per_query = UtilityMap(Run(options));
   auto fused = UtilityMap(
-      Run(options, 4, nullptr, ExecutionStrategy::kSharedScan));
+      Run(options, 4, nullptr, ExecutionStrategy::kPhasedSharedScan));
   ASSERT_EQ(per_query.size(), fused.size());
   for (const auto& [id, utility] : per_query) {
     ASSERT_TRUE(fused.count(id)) << id;
@@ -215,7 +217,7 @@ TEST_F(ExecutorTest, SharedScanCountsOneScanForWholePlan) {
   const uint64_t queries_before = RegistryCount("engine.queries");
   ExecutionReport report;
   Run(OptimizerOptions::Baseline(), 2, &report,
-      ExecutionStrategy::kSharedScan);
+      ExecutionStrategy::kPhasedSharedScan);
   EXPECT_EQ(report.table_scans, 1u);
   // Every planned query still counts as a query (2 per view, baseline plan).
   EXPECT_EQ(report.queries_executed, 2 * views_.size());
@@ -225,12 +227,12 @@ TEST_F(ExecutorTest, SharedScanCountsOneScanForWholePlan) {
             2 * views_.size());
 }
 
-// Fused strategies do not pretend per-query latencies exist: the report
-// carries per-phase wall times instead (a single phase for kSharedScan).
+// The fused strategy does not pretend per-query latencies exist: the report
+// carries per-phase wall times instead (a single phase here).
 TEST_F(ExecutorTest, SharedScanReportRecordsTheFusedPassNotFakeQueryTimes) {
   ExecutionReport report;
   auto results = Run(OptimizerOptions::Baseline(), 1, &report,
-                     ExecutionStrategy::kSharedScan);
+                     ExecutionStrategy::kPhasedSharedScan);
   EXPECT_EQ(results.size(), views_.size());
   EXPECT_TRUE(report.query_seconds.empty());
   ASSERT_EQ(report.phase_seconds.size(), 1u);
@@ -243,7 +245,7 @@ TEST_F(ExecutorTest, SharedScanReportRecordsTheFusedPassNotFakeQueryTimes) {
 TEST_F(ExecutorTest, SharedScanReportCountsVectorizedMorsels) {
   ExecutionReport report;
   auto results = Run(OptimizerOptions::All(), 1, &report,
-                     ExecutionStrategy::kSharedScan);
+                     ExecutionStrategy::kPhasedSharedScan);
   EXPECT_FALSE(results.empty());
   // Every grouping set here is categorical with a small dictionary, so the
   // whole fused pass must take the vectorized inner loop.
@@ -272,8 +274,8 @@ TEST_F(ExecutorTest, AutoUtilityRangeDerivesEmdRangeFromGroupCounts) {
   EXPECT_DOUBLE_EQ(*l1, 2.0);
 }
 
-// --- Memory budgets under the blocking strategies (the phased session's
-// OutOfRange contract, extended to kPerQuery / kSharedScan). ---
+// --- Memory budgets under blocking ExecutePlan runs (the phased session's
+// OutOfRange contract, extended to kPerQuery and one-phase fused runs). ---
 
 TEST_F(ExecutorTest, PerQueryBudgetStopsIssuingQueriesGracefully) {
   const db::TableStats* stats = catalog_->GetStats("t").ValueOrDie();
@@ -308,7 +310,8 @@ TEST_F(ExecutorTest, SharedScanBudgetFlagsTheBreachAtItsOneBoundary) {
                                           OptimizerOptions::All())
                            .ValueOrDie();
   ExecutorOptions exec;
-  exec.strategy = ExecutionStrategy::kSharedScan;
+  exec.strategy = ExecutionStrategy::kPhasedSharedScan;
+  exec.online_pruning.num_phases = 1;
   exec.memory_budget_bytes = 64;
   auto results = ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers,
                              exec, &report);

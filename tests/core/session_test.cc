@@ -124,12 +124,13 @@ TEST_F(SessionTest, DrainedSessionMatchesBlockingRecommend) {
 }
 
 TEST_F(SessionTest, LastUpdateOfNonPhasedStrategiesCarriesFinalRanking) {
-  for (ExecutionStrategy strategy :
-       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kSharedScan}) {
+  // Per-query and the one-phase fused scan both yield a single update.
+  for (const SeeDBRequest& request :
+       {SeeDBRequest("synth").Where(selection_).WithTopK(2).WithStrategy(
+            ExecutionStrategy::kPerQuery),
+        SeeDBRequest("synth").Where(selection_).WithTopK(2).WithPhases(1)}) {
     SeeDB seedb(engine_);
-    auto session = seedb.Open(
-        SeeDBRequest("synth").Where(selection_).WithTopK(2).WithStrategy(
-            strategy));
+    auto session = seedb.Open(request);
     ASSERT_TRUE(session.ok());
     auto update = session->Next();
     ASSERT_TRUE(update.ok());
@@ -298,14 +299,12 @@ TEST_F(SessionTest, PerQueryProfileIgnoresSessionsRunBetweenOpenAndFinish) {
 
 TEST_F(SessionTest, SharedScanStrategyIsCancellableToo) {
   SeeDB seedb(engine_);
-  auto session = seedb.Open(SeeDBRequest("synth")
-                                .Where(selection_)
-                                .WithTopK(3)
-                                .WithStrategy(ExecutionStrategy::kSharedScan));
+  auto session = seedb.Open(
+      SeeDBRequest("synth").Where(selection_).WithTopK(3).WithPhases(1));
   ASSERT_TRUE(session.ok());
   session->Cancel();
-  // The one-shot fused scan observes the token before any morsel: the run
-  // completes with partial (here: empty) results, not an error.
+  // The one-phase fused scan never started its phase: the run completes
+  // with partial (here: empty) results, not an error.
   auto set = session->Finish();
   ASSERT_TRUE(set.ok()) << set.status();
   EXPECT_TRUE(set->profile.cancelled);
@@ -541,13 +540,14 @@ TEST_F(SessionTest, BudgetStopsTheSilentFinishDrainToo) {
 TEST_F(SessionTest, BlockingStrategiesEnforceTheBudgetToo) {
   SeeDB seedb(engine_);
   for (ExecutionStrategy strategy :
-       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kSharedScan}) {
+       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kPhasedSharedScan}) {
     SeeDBRequest request =
         SeeDBRequest("synth").Where(selection_).WithTopK(3).WithMemoryBudget(
             64);
     {
       SeeDBOptions opts = request.options();
       opts.strategy = strategy;
+      opts.online_pruning.num_phases = 1;
       request.WithOptions(opts);
     }
     auto session = seedb.Open(request);
@@ -569,6 +569,7 @@ TEST_F(SessionTest, BlockingStrategiesEnforceTheBudgetToo) {
     {
       SeeDBOptions opts = fine.options();
       opts.strategy = strategy;
+      opts.online_pruning.num_phases = 1;
       fine.WithOptions(opts);
     }
     auto ok = seedb.Run(fine);
@@ -583,7 +584,8 @@ TEST_F(SessionTest, FusedProfileReportsVectorizedMorsels) {
   SeeDBRequest request = SeeDBRequest("synth").Where(selection_).WithTopK(3);
   {
     SeeDBOptions opts = request.options();
-    opts.strategy = ExecutionStrategy::kSharedScan;
+    opts.strategy = ExecutionStrategy::kPhasedSharedScan;
+    opts.online_pruning.num_phases = 1;
     request.WithOptions(opts);
   }
   auto set = seedb.Run(request);
@@ -636,10 +638,8 @@ TEST_F(SessionTest, ProgressSinkSeesEveryPhaseIncludingFinishDrain) {
 
 TEST_F(SessionTest, ProgressSinkFiresOnceForBlockingStrategies) {
   SeeDB seedb(engine_);
-  auto session = seedb.Open(SeeDBRequest("synth")
-                                .Where(selection_)
-                                .WithTopK(2)
-                                .WithStrategy(ExecutionStrategy::kSharedScan));
+  auto session = seedb.Open(
+      SeeDBRequest("synth").Where(selection_).WithTopK(2).WithPhases(1));
   ASSERT_TRUE(session.ok());
   size_t pushes = 0;
   ProvisionalView first_top;
@@ -736,6 +736,41 @@ TEST_F(SessionResumeTest, CancelBeforeFirstPhaseThenResumeRunsInFull) {
   EXPECT_EQ(set->top_views[0].utility(), truth->top_views[0].utility());
 }
 
+// The one-pass fused scan is a phased run with one phase, so it resumes like
+// any other, and its one update carries the phase's Hoeffding half-width and
+// the scan's real footprint instead of zero-width bounds and 0 bytes.
+TEST_F(SessionResumeTest, OnePhaseSessionResumesAndReportsItsPhase) {
+  SeeDB seedb(&engine_);
+  auto truth = seedb.Run(Request(1));
+  ASSERT_TRUE(truth.ok()) << truth.status();
+
+  auto session = seedb.Open(Request(1));
+  ASSERT_TRUE(session.ok());
+  session->Cancel();
+  ASSERT_TRUE(session->Resume().ok());
+  auto update = session->Next();
+  ASSERT_TRUE(update.ok()) << update.status();
+  ASSERT_TRUE(update->has_value());
+  EXPECT_EQ((*update)->phase, 1u);
+  EXPECT_EQ((*update)->total_phases, 1u);
+  EXPECT_GT((*update)->ci_half_width, 0.0);
+  EXPECT_GT((*update)->memory_bytes, 0u);
+  ASSERT_FALSE((*update)->top_views.empty());
+  const ProvisionalView& top = (*update)->top_views[0];
+  EXPECT_EQ(top.lower, top.utility - (*update)->ci_half_width);
+  EXPECT_EQ(top.upper, top.utility + (*update)->ci_half_width);
+
+  auto set = session->Finish();
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_FALSE(set->profile.cancelled);
+  EXPECT_EQ(set->profile.phases_executed, 1u);
+  ASSERT_EQ(set->top_views.size(), truth->top_views.size());
+  for (size_t i = 0; i < set->top_views.size(); ++i) {
+    EXPECT_EQ(set->top_views[i].view(), truth->top_views[i].view());
+    EXPECT_EQ(set->top_views[i].utility(), truth->top_views[i].utility());
+  }
+}
+
 TEST_F(SessionResumeTest, ResumeDemandsACancelledUnfinishedSession) {
   SeeDB seedb(&engine_);
   auto session = seedb.Open(Request(4));
@@ -747,12 +782,12 @@ TEST_F(SessionResumeTest, ResumeDemandsACancelledUnfinishedSession) {
   // Finished: refused (even though it was cancelled).
   EXPECT_FALSE(session->Resume().ok());
 
-  // Blocking strategies cannot resume a cancelled run...
+  // Per-query runs cannot resume a cancelled run...
   auto blocking = seedb.Open(SeeDBRequest("sales")
                                  .Where(laserwave_)
                                  .WithTopK(1)
                                  .WithStrategy(
-                                     ExecutionStrategy::kSharedScan));
+                                     ExecutionStrategy::kPerQuery));
   ASSERT_TRUE(blocking.ok());
   ASSERT_TRUE(blocking->Next().ok());  // executes the one-shot run
   blocking->Cancel();
@@ -763,7 +798,7 @@ TEST_F(SessionResumeTest, ResumeDemandsACancelledUnfinishedSession) {
                                   .Where(laserwave_)
                                   .WithTopK(1)
                                   .WithStrategy(
-                                      ExecutionStrategy::kSharedScan));
+                                      ExecutionStrategy::kPerQuery));
   ASSERT_TRUE(unstarted.ok());
   unstarted->Cancel();
   ASSERT_TRUE(unstarted->Resume().ok());

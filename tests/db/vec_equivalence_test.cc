@@ -236,32 +236,89 @@ TEST(VecEquivalenceThreadedTest, VectorizedMatchesHashWithinUlps) {
   }
 }
 
-// Shrinking the slot budget to 1 forces every non-global set onto the hash
-// path — the fallback trigger — and results must be unchanged.
+// A string dimension whose dictionary outgrows kDenseSlotBudget takes the
+// hash loop even with vectorization on, while the small dimension beside it
+// stays vectorized. Every path must agree bit for bit: vectorized on,
+// vectorized off (all hash), and query-at-a-time ExecuteGroupingSets.
 TEST(VecEquivalenceTest, SlotBudgetFallbackStaysCorrect) {
-  Table table = MakeMatrixTable(5, 1500);
-  std::vector<GroupingSetsQuery> queries = MatrixQueries();
+  constexpr size_t kWide = kDenseSlotBudget + 616;  // distinct d_huge values
+  Table table(Schema({
+      ColumnDef::Dimension("d_small"),
+      ColumnDef::Dimension("d_huge"),
+      ColumnDef::Measure("m_int", ValueType::kInt64),
+      ColumnDef::Measure("m_double"),
+  }));
+  Random rng(5);
+  for (size_t i = 0; i < kWide + 2000; ++i) {
+    std::vector<Value> row;
+    row.emplace_back("s" + std::to_string(rng.UniformInt(0, 3)));
+    // Rows [0, kWide) hold every wide value once, in scrambled order (7919
+    // is prime to kWide); the rest repeat values or are null.
+    if (i < kWide) {
+      row.emplace_back("h" + std::to_string(i * 7919 % kWide));
+    } else if (rng.Bernoulli(0.5)) {
+      row.emplace_back();
+    } else {
+      row.emplace_back("h" + std::to_string(rng.UniformInt(0, 99)));
+    }
+    if (rng.Bernoulli(0.15)) {
+      row.emplace_back();
+    } else {
+      row.emplace_back(static_cast<int64_t>(rng.UniformInt(-50, 50)));
+    }
+    row.emplace_back(rng.UniformDouble(-50.0, 50.0));
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+  ASSERT_EQ(table.ColumnByName("d_huge").ValueOrDie()->dict_size(), kWide);
 
-  SharedScanOptions tiny;
-  tiny.num_threads = 1;
-  tiny.morsel_rows = 97;
-  tiny.dense_slot_budget = 1;
+  GroupingSetsQuery plain;
+  plain.table = "t";
+  plain.grouping_sets = {{"d_huge"}, {"d_small"}, {}};
+  plain.aggregates = {
+      AggregateSpec::Count(),
+      AggregateSpec::Make(AggregateFunction::kSum, "m_int"),
+      AggregateSpec::Make(AggregateFunction::kAvg, "m_double"),
+      AggregateSpec::Make(AggregateFunction::kMin, "m_double"),
+      AggregateSpec::Make(AggregateFunction::kMax, "m_int"),
+      AggregateSpec::Make(AggregateFunction::kSum, "m_double", "t_half",
+                          PredicatePtr(Eq("d_small", Value("s1")))),
+  };
+  GroupingSetsQuery filtered;
+  filtered.table = "t";
+  filtered.where = PredicatePtr(Gt("m_double", Value(-20.0)));
+  filtered.grouping_sets = {{"d_huge", "d_small"}, {"d_small"}};
+  filtered.aggregates = {
+      AggregateSpec::Make(AggregateFunction::kSum, "m_double"),
+      AggregateSpec::Count(),
+  };
+  const std::vector<GroupingSetsQuery> queries = {plain, filtered};
 
-  SharedScanOptions full = tiny;
-  full.dense_slot_budget = SharedScanOptions{}.dense_slot_budget;
+  SharedScanOptions vec_on;
+  vec_on.num_threads = 1;
+  vec_on.morsel_rows = 997;
+  SharedScanOptions vec_off = vec_on;
+  vec_off.enable_vectorized = false;
 
-  SharedScanStats tiny_stats;
-  auto constrained = ExecuteSharedScan(table, queries, tiny, &tiny_stats);
-  auto normal = ExecuteSharedScan(table, queries, full, nullptr);
-  ASSERT_TRUE(constrained.ok()) << constrained.status().ToString();
-  ASSERT_TRUE(normal.ok()) << normal.status().ToString();
-  // The empty grouping set (global aggregate, 1 slot) still vectorizes.
-  EXPECT_GT(tiny_stats.vectorized_morsels, 0u);
-  for (size_t q = 0; q < constrained->size(); ++q) {
-    for (size_t s = 0; s < (*constrained)[q].size(); ++s) {
-      ExpectTablesBitIdentical((*constrained)[q][s], (*normal)[q][s],
-                               "query " + std::to_string(q) + " set " +
-                                   std::to_string(s));
+  SharedScanStats on_stats, off_stats;
+  auto on = ExecuteSharedScan(table, queries, vec_on, &on_stats);
+  auto off = ExecuteSharedScan(table, queries, vec_off, &off_stats);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  // The small dimension and the global set still vectorize beside the wide
+  // one; with vectorization off nothing does.
+  EXPECT_GT(on_stats.vectorized_morsels, 0u);
+  EXPECT_EQ(off_stats.vectorized_morsels, 0u);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto oracle = ExecuteGroupingSets(table, queries[q], nullptr);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_EQ((*on)[q].size(), oracle->size());
+    for (size_t s = 0; s < oracle->size(); ++s) {
+      const std::string label =
+          "query " + std::to_string(q) + " set " + std::to_string(s);
+      ExpectTablesBitIdentical((*on)[q][s], (*oracle)[s],
+                               label + " (vectorized on vs oracle)");
+      ExpectTablesBitIdentical((*off)[q][s], (*oracle)[s],
+                               label + " (vectorized off vs oracle)");
     }
   }
 }

@@ -1,15 +1,14 @@
 // Unit tests for the vectorized kernel subsystem (db/vec/): selection
 // vectors, batch filter kernels, dense group-id composition, and flat-slab
 // aggregation kernels — the pieces db/shared_scan.cc wires into its morsel
-// inner loop — plus the explicit-SIMD tier (db/vec/simd/), which must agree
-// with the scalar-vectorized kernels BIT for bit on every input shape:
-// lane-width tails, unaligned range starts, validity masks, all-null runs.
+// inner loop — plus the explicit-SIMD selection and compare tier
+// (db/vec/simd/), which must agree with the scalar-vectorized kernels BIT
+// for bit on every input shape: lane-width tails, unaligned range starts,
+// validity masks, all-null runs.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -366,119 +365,6 @@ TEST(SimdEquivalenceTest, CompareKernelsMatchScalarOnAllOpsAndShapes) {
       EXPECT_TRUE(simd_sel.empty());
     }
   }
-}
-
-// Accumulation: run the simd Range kernels against the scalar ones over the
-// same inputs and require bitwise-equal AggStates — count, sum, min, max.
-// Gid layouts cover long runs (the vector fast path), run-length-1 data
-// (pure scalar probing), and runs straddling the kernel's internal
-// block boundaries.
-void ExpectSlabsBitIdentical(const std::vector<AggState>& got,
-                             const std::vector<AggState>& want,
-                             const std::string& label) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].count, want[i].count) << label << " slot " << i;
-    // Bitwise, not ==: distinguishes +0.0 / -0.0 and fails on NaN drift.
-    EXPECT_EQ(std::memcmp(&got[i].sum, &want[i].sum, sizeof(double)), 0)
-        << label << " slot " << i << " sum " << got[i].sum << " vs "
-        << want[i].sum;
-    EXPECT_EQ(std::memcmp(&got[i].min, &want[i].min, sizeof(double)), 0)
-        << label << " slot " << i;
-    EXPECT_EQ(std::memcmp(&got[i].max, &want[i].max, sizeof(double)), 0)
-        << label << " slot " << i;
-  }
-}
-
-std::vector<uint32_t> MakeGids(Random* rng, size_t n, bool clustered) {
-  std::vector<uint32_t> gids(n);
-  uint32_t g = 0;
-  size_t run_left = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (clustered) {
-      if (run_left == 0) {
-        run_left = static_cast<size_t>(rng->UniformInt(1, 40));
-        g = static_cast<uint32_t>(rng->UniformInt(0, 7));
-      }
-      --run_left;
-      gids[i] = g;
-    } else {
-      gids[i] = static_cast<uint32_t>(rng->UniformInt(0, 7));
-    }
-  }
-  return gids;
-}
-
-TEST(SimdEquivalenceTest, AccumulateKernelsMatchScalarBitForBit) {
-  Random rng(104);
-  for (bool clustered : {true, false}) {
-    for (size_t n : {0, 1, 15, 16, 17, 100, 1000}) {
-      for (size_t offset : {0, 3}) {
-        const size_t total = offset + n;
-        std::vector<uint32_t> gids = MakeGids(&rng, total, clustered);
-        std::vector<int64_t> i64(total);
-        std::vector<double> f64(total);
-        std::vector<uint8_t> validity(total), filter(total);
-        for (size_t i = 0; i < total; ++i) {
-          i64[i] = rng.UniformInt(-1000, 1000);
-          f64[i] = rng.UniformDouble(-1000.0, 1000.0);
-          validity[i] = rng.Bernoulli(0.2) ? 0 : 1;
-          filter[i] = rng.Bernoulli(0.3) ? 0 : 1;
-        }
-        const std::string label = std::string(clustered ? "runs" : "random") +
-                                  " n=" + std::to_string(n) +
-                                  " off=" + std::to_string(offset);
-        // Filter/validity combinations; the (nullptr, nullptr) case is the
-        // one the vector run fast path accelerates.
-        for (const uint8_t* f :
-             {(const uint8_t*)nullptr, (const uint8_t*)filter.data()}) {
-          for (const uint8_t* v :
-               {(const uint8_t*)nullptr, (const uint8_t*)validity.data()}) {
-            std::vector<AggState> simd_slab(8), scalar_slab(8);
-            simd::AccumulateCountRange(gids.data(), offset, n, f, v,
-                                       simd_slab.data());
-            AccumulateCountRange(gids.data(), offset, n, f, v,
-                                 scalar_slab.data());
-            ExpectSlabsBitIdentical(simd_slab, scalar_slab, "count " + label);
-
-            simd_slab.assign(8, AggState{});
-            scalar_slab.assign(8, AggState{});
-            simd::AccumulateInt64Range(gids.data(), offset, n, i64.data(), f,
-                                       v, simd_slab.data());
-            AccumulateInt64Range(gids.data(), offset, n, i64.data(), f, v,
-                                 scalar_slab.data());
-            ExpectSlabsBitIdentical(simd_slab, scalar_slab, "i64 " + label);
-
-            simd_slab.assign(8, AggState{});
-            scalar_slab.assign(8, AggState{});
-            simd::AccumulateDoubleRange(gids.data(), offset, n, f64.data(), f,
-                                        v, simd_slab.data());
-            AccumulateDoubleRange(gids.data(), offset, n, f64.data(), f, v,
-                                  scalar_slab.data());
-            ExpectSlabsBitIdentical(simd_slab, scalar_slab, "f64 " + label);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdEquivalenceTest, Int64SumExactnessPrecheckFallsBackBitIdentically) {
-  // Values large enough that a double-rounded vector sum would diverge from
-  // the scalar left-fold: the kernel's exactness precheck must reject the
-  // vector path and fall back per-row, keeping the sums bit-identical.
-  const int64_t big = (int64_t{1} << 62) + 12345;
-  std::vector<uint32_t> gids(64, 0);
-  std::vector<int64_t> data(64);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = (i % 2 == 0) ? big : -big + static_cast<int64_t>(i);
-  }
-  std::vector<AggState> simd_slab(1), scalar_slab(1);
-  simd::AccumulateInt64Range(gids.data(), 0, data.size(), data.data(),
-                             nullptr, nullptr, simd_slab.data());
-  AccumulateInt64Range(gids.data(), 0, data.size(), data.data(), nullptr,
-                       nullptr, scalar_slab.data());
-  ExpectSlabsBitIdentical(simd_slab, scalar_slab, "big-int64");
 }
 
 TEST(SimdEquivalenceTest, IsaNameIsConsistentWithAvailability) {

@@ -216,6 +216,76 @@ TEST(ProtocolTest, OpenRejectsBadFields) {
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"k\":\"three\"").ok());
 }
 
+// "shared-scan" (and "shared") is the one-pass fused scan: the phased
+// strategy with one phase. The fields that ask for a phased run override it,
+// as they do for any strategy: `phases` sets the count, and a pruner keeps
+// the default count.
+TEST(ProtocolTest, SharedScanIsThePhasedStrategyWithOnePhase) {
+  for (const char* name : {"shared-scan", "shared"}) {
+    OpenSpec spec;
+    spec.table = "sales";
+    spec.strategy = name;
+    auto request = OpenRequestFromJson(OpenRequestToJson("s1", spec));
+    ASSERT_TRUE(request.ok()) << request.status();
+    EXPECT_EQ(request->options().strategy,
+              core::ExecutionStrategy::kPhasedSharedScan)
+        << name;
+    EXPECT_EQ(request->options().online_pruning.num_phases, 1u) << name;
+
+    spec.phases = 6;
+    auto overridden = OpenRequestFromJson(OpenRequestToJson("s1", spec));
+    ASSERT_TRUE(overridden.ok()) << overridden.status();
+    EXPECT_EQ(overridden->options().strategy,
+              core::ExecutionStrategy::kPhasedSharedScan)
+        << name;
+    EXPECT_EQ(overridden->options().online_pruning.num_phases, 6u) << name;
+
+    spec.phases = 0;
+    spec.pruner = "ci";
+    auto pruned = OpenRequestFromJson(OpenRequestToJson("s1", spec));
+    ASSERT_TRUE(pruned.ok()) << pruned.status();
+    EXPECT_EQ(pruned->options().online_pruning.num_phases,
+              core::OnlinePruningOptions{}.num_phases)
+        << name;
+  }
+}
+
+Result<core::SeeDBRequest> OpenTableWith(const std::string& extra) {
+  auto parsed = ParseJson("{\"op\":\"open\",\"id\":\"x\",\"table\":\"t\"" +
+                          extra + "}");
+  EXPECT_TRUE(parsed.ok()) << extra;
+  return OpenRequestFromJson(*parsed);
+}
+
+// `phases` sizes per-session state, so `open` bounds it — the bound itself
+// is accepted, anything above is invalid_argument, however large.
+TEST(ProtocolTest, OpenBoundsPhases) {
+  auto at_bound = OpenTableWith(",\"phases\":1024");
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->options().online_pruning.num_phases, kMaxOpenPhases);
+  for (const char* over : {"1025", "4611686018427387904", "1e300"}) {
+    auto refused = OpenTableWith(std::string(",\"phases\":") + over);
+    ASSERT_FALSE(refused.ok()) << over;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << over;
+    EXPECT_NE(refused.status().message().find("1024"), std::string::npos)
+        << refused.status();
+  }
+}
+
+// `parallelism` sizes thread pools, so `open` bounds it the same way.
+TEST(ProtocolTest, OpenBoundsParallelism) {
+  auto at_bound = OpenTableWith(",\"parallelism\":64");
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->options().parallelism, kMaxOpenParallelism);
+  for (const char* over : {"65", "4611686018427387904", "1e300"}) {
+    auto refused = OpenTableWith(std::string(",\"parallelism\":") + over);
+    ASSERT_FALSE(refused.ok()) << over;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << over;
+    EXPECT_NE(refused.status().message().find("64"), std::string::npos)
+        << refused.status();
+  }
+}
+
 // --- Progress / result frame round-trips ---
 
 TEST(ProtocolTest, ProgressFrameRoundTrips) {
@@ -316,6 +386,22 @@ TEST_F(DispatchTest, MalformedRequestsGetErrorResponsesNotCrashes) {
       "{\"op\":\"open\",\"id\":\"s1\",\"sql\":"
       "\"SELECT * FROM sales WHERE product = 'Laserwave'\"}");
   EXPECT_TRUE(ok.GetBool("ok"));
+}
+
+// An over-limit `phases` is refused before any session state is built, and
+// the dispatcher keeps answering: the next lines to the same server, on the
+// same id, are served.
+TEST_F(DispatchTest, OverLimitPhasesIsRefusedAndTheServerKeepsAnswering) {
+  JsonValue refused = Call(
+      "{\"op\":\"open\",\"id\":\"p1\",\"table\":\"sales\","
+      "\"phases\":4611686018427387904}");
+  EXPECT_FALSE(refused.GetBool("ok"));
+  EXPECT_EQ(refused.GetString("code"), "invalid_argument");
+  JsonValue status = Call("{\"op\":\"status\",\"id\":\"p1\"}");
+  EXPECT_EQ(status.GetString("code"), "not_found");
+  EXPECT_TRUE(Call("{\"op\":\"open\",\"id\":\"p1\",\"table\":\"sales\","
+                   "\"phases\":2}")
+                  .GetBool("ok"));
 }
 
 TEST_F(DispatchTest, SessionLifecycleAndIdsAfterFinish) {

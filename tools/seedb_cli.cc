@@ -94,8 +94,9 @@ class Cli {
         "  \\bin <t> <measure> <bins>        derive a binned dimension\n"
         "  \\set k <n> | metric <name> | parallel <n> | prune on|off\n"
         "  \\set strategy shared|perquery|phased\n"
-        "                                   fused shared-scan, per-query, or\n"
-        "                                   phased scan with online pruning\n"
+        "                                   one fused pass (phased, 1 phase),\n"
+        "                                   per-query, or phased scan with\n"
+        "                                   online pruning\n"
         "  \\set phases <n>                  phase count for strategy phased\n"
         "  \\set online_pruner none|ci|mab   mid-scan view pruner (phased)\n"
         "  \\set early_stop <n>              stop once top-k is CI-stable for\n"
@@ -207,7 +208,9 @@ class Cli {
       std::string name;
       in >> name;
       if (name == "shared") {
-        options_.strategy = core::ExecutionStrategy::kSharedScan;
+        // One fused pass over the table: the phased scan with one phase.
+        options_.strategy = core::ExecutionStrategy::kPhasedSharedScan;
+        options_.online_pruning.num_phases = 1;
       } else if (name == "perquery") {
         options_.strategy = core::ExecutionStrategy::kPerQuery;
       } else if (name == "phased") {
@@ -327,7 +330,7 @@ class Cli {
     if (options_.strategy != core::ExecutionStrategy::kPhasedSharedScan) {
       return Status::InvalidArgument(
           "\\cancel applies to the streaming strategy only — run "
-          "\\set strategy phased first (non-phased queries execute in one "
+          "\\set strategy phased first (per-query runs execute in one "
           "blocking shot, so there is no phase boundary to cancel at)");
     }
     size_t phases = 1;
@@ -579,7 +582,7 @@ class Cli {
 
     // Stream the phased scan: one progress line per phase, so a long scan
     // shows the provisional top view tightening instead of a frozen prompt.
-    // Non-phased strategies run in one blocking shot inside Finish().
+    // Per-query runs execute in one blocking shot inside Finish().
     const bool streaming =
         options_.strategy == core::ExecutionStrategy::kPhasedSharedScan;
     const size_t cancel_after = cancel_after_phases_;
