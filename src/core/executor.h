@@ -130,9 +130,12 @@ struct ExecutionReport {
   /// per query under kPerQuery).
   size_t queries_executed = 0;
   size_t table_scans = 0;
-  /// The scan's side: the fused batch's SharedScanStats as-is. kPerQuery
-  /// sums rows_scanned and total_groups over its queries and meters
-  /// agg_state_bytes as the cumulative groups x aggregates x
+  /// The scan's side: the fused batch's SharedScanStats as-is, whose
+  /// agg_state_bytes is groups x accumulators x sizeof(AggState) (one
+  /// accumulator per distinct (input, FILTER) pair of a query, plus the
+  /// snapshots of aggregates retired while their accumulator stayed live).
+  /// kPerQuery sums rows_scanned and total_groups over its queries and
+  /// meters agg_state_bytes as the cumulative groups x aggregates x
   /// sizeof(AggState) of the results retained; its morsel and cache fields
   /// stay 0. agg_state_bytes is what memory_budget_bytes is metered
   /// against.

@@ -167,7 +167,10 @@ void EmitQueriesForBatch(const std::vector<DimViews>& batch,
 }
 
 // Number of aggregate-state slots one dimension's query carries, for the
-// bin-packing weight: aggregates per view x halves per query.
+// bin-packing weight: aggregates per view x halves per query. The fused
+// scan holds one state per distinct (measure, FILTER) pair, not per
+// aggregate, so for fused plans this is an upper bound (3x for SUM/AVG/COUNT
+// over one measure).
 uint64_t AggSlotsPerGroup(const DimViews& dv, const OptimizerOptions& options) {
   uint64_t aggs = static_cast<uint64_t>(dv.views.size());
   return aggs * (options.combine_target_comparison ? 2 : 1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "util/random.h"
 #include "util/string_util.h"
@@ -167,6 +168,18 @@ Result<Table> MaterializeGroupedResult(
     const std::vector<AggregateSpec>& aggregates,
     std::vector<std::vector<Value>> keys,
     const std::vector<std::vector<AggState>>& states) {
+  std::vector<const AggState*> per_agg;
+  per_agg.reserve(states.size());
+  for (const auto& s : states) per_agg.push_back(s.data());
+  return MaterializeGroupedResult(table, group_cols, aggregates,
+                                  std::move(keys), per_agg);
+}
+
+Result<Table> MaterializeGroupedResult(
+    const Table& table, const std::vector<std::string>& group_cols,
+    const std::vector<AggregateSpec>& aggregates,
+    std::vector<std::vector<Value>> keys,
+    const std::vector<const AggState*>& states) {
   Schema out_schema;
   for (const auto& g : group_cols) {
     SEEDB_ASSIGN_OR_RETURN(size_t idx, table.schema().FindColumn(g));

@@ -126,6 +126,15 @@ Result<Table> MaterializeGroupedResult(
     std::vector<std::vector<Value>> keys,
     const std::vector<std::vector<AggState>>& states);
 
+/// The same, reading aggregate j's accumulators from `states[j][g]` through
+/// a pointer, so aggregates that share one accumulator array (the fused
+/// scan's (measure, FILTER) sharing) materialize without copying it.
+Result<Table> MaterializeGroupedResult(
+    const Table& table, const std::vector<std::string>& group_cols,
+    const std::vector<AggregateSpec>& aggregates,
+    std::vector<std::vector<Value>> keys,
+    const std::vector<const AggState*>& states);
+
 /// Validates the pieces shared by GroupBy and GroupingSets queries.
 Status ValidateAggregates(const Table& table,
                           const std::vector<AggregateSpec>& aggregates);

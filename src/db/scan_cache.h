@@ -77,8 +77,17 @@ std::string PartialAggCacheKey(const Table& table, uint64_t table_version,
 /// scanned.
 struct CachedPartialAgg {
   std::vector<uint32_t> rep_row;
-  /// states[agg][group], same shape as the scan's merged state.
+  /// states[accumulator][group], same shape as the scan's merged state: one
+  /// array per distinct (input column, FILTER) pair among the query's
+  /// aggregates, so SUM(m), AVG(m) and COUNT(m) under one FILTER hold one.
   std::vector<std::vector<AggState>> states;
+  /// The layout `states` was accumulated under: acc_of[j] is aggregate j's
+  /// accumulator, count_only[a] marks one that ran only the count kernel.
+  /// The key leaves aggregate functions out, so a scan adopts an entry only
+  /// when its own layout is identical — a COUNT-only accumulator carries no
+  /// sum, min or max for a SUM to read.
+  std::vector<uint32_t> acc_of;
+  std::vector<uint8_t> count_only;
   /// Accounted footprint (states + rep_row + key), the LRU's budget unit.
   size_t bytes = 0;
 };

@@ -47,6 +47,9 @@ struct SetSpec {
   /// set with none left is dead: never scanned, merged or materialized
   /// again.
   std::vector<uint32_t> live_aggs;
+  /// The query's accumulators serving at least one live aggregate of this
+  /// set, ascending: what the inner loops run and the merges fold.
+  std::vector<uint32_t> live_accs;
   /// Raw column arrays for the vectorized group-id kernels.
   std::vector<vec::DenseDim> dims;
 };
@@ -57,22 +60,34 @@ bool Scanned(const SetSpec& set) {
   return !set.adopted && !set.live_aggs.empty();
 }
 
-// One aggregate of one query, resolved for the scan.
-struct AggRuntime {
+// One accumulator of one query: an AggState array fed by every aggregate
+// over the same (input column, FILTER mask) pair. AggState holds count, sum,
+// min and max at once, so SUM(m), AVG(m), MIN(m), MAX(m) and COUNT(m) under
+// one FILTER read one accumulator instead of each running a kernel over the
+// same rows.
+struct AccRuntime {
   const Column* input = nullptr;  // nullptr => COUNT(*)
   const std::vector<uint8_t>* filter = nullptr;
-  bool count_only = false;
+  /// Every aggregate served is a COUNT: only the count kernel runs. The full
+  /// kernel counts the same rows (same filter, same null skip), so a COUNT
+  /// sharing a full accumulator reads an identical count.
+  bool count_only = true;
+  /// Index into the scan's FILTER selection list (the vectorized loop runs a
+  /// filtered accumulator over that selection); -1 when unfiltered.
+  int filter_sel = -1;
 };
 
 // One query of the batch, fully resolved: combined sample & WHERE mask
-// (nullptr selects every row), grouping sets, aggregates.
+// (nullptr selects every row), grouping sets, accumulators.
 struct QuerySpec {
   const std::vector<uint8_t>* mask = nullptr;
   /// Sample mask alone (nullptr = unsampled) — the rows the scan *visits*
   /// for this query, the unit rows_scanned accounting uses.
   const std::vector<uint8_t>* sample_mask = nullptr;
   std::vector<SetSpec> sets;
-  std::vector<AggRuntime> aggs;
+  std::vector<AccRuntime> accs;
+  /// acc_of[j]: the accumulator aggregate j reads.
+  std::vector<uint32_t> acc_of;
   /// Index into the scan's selection-recipe list; -1 = no row filter, the
   /// vectorized kernels walk the whole morsel directly.
   int recipe = -1;
@@ -165,13 +180,13 @@ struct LocalGroups {
       key_to_local;
   std::vector<uint32_t> rep_row;
   std::vector<std::vector<int64_t>> keys;
-  /// states[agg][local group].
+  /// states[accumulator][local group].
   std::vector<std::vector<AggState>> states;
 
   int32_t NewGroup(uint32_t row) {
     int32_t gid = static_cast<int32_t>(rep_row.size());
     rep_row.push_back(row);
-    for (auto& per_agg : states) per_agg.emplace_back();
+    for (auto& per_acc : states) per_acc.emplace_back();
     return gid;
   }
 
@@ -180,7 +195,7 @@ struct LocalGroups {
     key_to_local.clear();
     rep_row.clear();
     keys.clear();
-    for (auto& per_agg : states) per_agg.clear();
+    for (auto& per_acc : states) per_acc.clear();
   }
 };
 
@@ -217,14 +232,14 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
       if (set.vectorized) {
         if (fresh) {
           accum.dense.Init(static_cast<uint32_t>(set.dense_slots),
-                           static_cast<uint32_t>(specs[q].aggs.size()));
+                           static_cast<uint32_t>(specs[q].accs.size()));
         } else {
           accum.dense.Reset();
         }
         continue;
       }
       if (fresh) {
-        accum.lg.states.resize(specs[q].aggs.size());
+        accum.lg.states.resize(specs[q].accs.size());
       } else {
         accum.lg.Reset();
       }
@@ -234,14 +249,14 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
 
 void AccumulateRow(const QuerySpec& spec, const SetSpec& set, LocalGroups* lg,
                    int32_t gid, size_t row) {
-  for (uint32_t j : set.live_aggs) {
-    const AggRuntime& a = spec.aggs[j];
-    if (a.filter && !(*a.filter)[row]) continue;
-    if (a.input && a.input->IsNull(row)) continue;
-    if (a.count_only) {
-      lg->states[j][gid].AddCountOnly();
+  for (uint32_t a : set.live_accs) {
+    const AccRuntime& acc = spec.accs[a];
+    if (acc.filter && !(*acc.filter)[row]) continue;
+    if (acc.input && acc.input->IsNull(row)) continue;
+    if (acc.count_only) {
+      lg->states[a][gid].AddCountOnly();
     } else {
-      lg->states[j][gid].Add(a.input->NumericAt(row));
+      lg->states[a][gid].Add(acc.input->NumericAt(row));
     }
   }
 }
@@ -330,23 +345,47 @@ void EvaluateIntoSelection(const SelRecipe& r, size_t lo, size_t hi,
   }
 }
 
+// A FILTER'd accumulator's rows within one morsel: the query's selection
+// (`base` recipe id, or -1 for the whole morsel) refined by the FILTER mask.
+// Deduplicated at Init, so every query and set with the same row filter and
+// FILTER reads one selection per morsel.
+struct FilterSel {
+  int base = -1;
+  const std::vector<uint8_t>* filter = nullptr;
+};
+
 // Per-worker, per-morsel scratch for the vectorized inner loop: selections
-// indexed flat by recipe id (built lazily per morsel, shared by every query
-// with the same recipe — the old linear pointer-keyed lookup is gone) and
-// the reusable group-id buffer. Selection capacity persists across morsels.
+// indexed flat by recipe id and FILTER selections by FilterSel id (both
+// built lazily per morsel and shared by every query that reads them), the
+// reusable group-id buffers, and the group ids of each FILTER selection
+// gathered for the set being scanned. Capacity persists across morsels.
 struct VecScratch {
   std::vector<vec::SelectionVector> selections;
   std::vector<uint8_t> built;
+  std::vector<vec::SelectionVector> filter_selections;
+  std::vector<uint8_t> filter_built;
   std::vector<uint32_t> gids;
+  /// filter_gids[f] holds FILTER selection f's group ids for the set whose
+  /// ScanMorselVec call stamped filter_stamp[f] with set_stamp.
+  std::vector<std::vector<uint32_t>> filter_gids;
+  std::vector<uint64_t> filter_stamp;
+  uint64_t set_stamp = 0;
   bool use_simd = false;
 
-  void Prepare(size_t num_recipes, bool simd) {
+  void Prepare(size_t num_recipes, size_t num_filter_sels, bool simd) {
     selections.resize(num_recipes);
     built.assign(num_recipes, 0);
+    filter_selections.resize(num_filter_sels);
+    filter_built.assign(num_filter_sels, 0);
+    filter_gids.resize(num_filter_sels);
+    filter_stamp.assign(num_filter_sels, 0);
     use_simd = simd;
   }
 
-  void StartMorsel() { std::fill(built.begin(), built.end(), 0); }
+  void StartMorsel() {
+    std::fill(built.begin(), built.end(), 0);
+    std::fill(filter_built.begin(), filter_built.end(), 0);
+  }
 
   const vec::SelectionVector* Selection(const SelRecipe& recipe, int id,
                                         size_t lo, size_t hi) {
@@ -357,13 +396,84 @@ struct VecScratch {
     }
     return &selections[idx];
   }
+
+  // The FILTER selection `f` over morsel [lo, hi): the mask's rows directly
+  // when the query selects the whole morsel, else the query's selection
+  // refined by the mask. These are the rows a per-row mask test would pass,
+  // in the same ascending order, so sums are bit-identical to it.
+  const vec::SelectionVector* FilterSelection(
+      const std::vector<SelRecipe>& recipes, const FilterSel& fs, int f,
+      size_t lo, size_t hi) {
+    const size_t idx = static_cast<size_t>(f);
+    vec::SelectionVector* out = &filter_selections[idx];
+    if (filter_built[idx]) return out;
+    filter_built[idx] = 1;
+    const uint8_t* mask = fs.filter->data();
+    if (fs.base < 0) {
+      if (use_simd) {
+        vec::simd::SelectFromMask(mask, lo, hi, out);
+      } else {
+        vec::SelectFromMask(mask, lo, hi, out);
+      }
+      return out;
+    }
+    *out = *Selection(recipes[fs.base], fs.base, lo, hi);
+    if (use_simd) {
+      vec::simd::Refine(mask, out);
+    } else {
+      vec::Refine(mask, out);
+    }
+    return out;
+  }
 };
+
+// Runs accumulator `acc`'s flat-slab kernel over `n` rows: the selection
+// `sel` with its group ids `gids`, or, when `sel` is nullptr, the range
+// [lo, lo + n). No FILTER reaches the kernel: a filtered accumulator
+// arrives with its FILTER selection instead.
+void AccumulateInto(const AccRuntime& acc, const uint32_t* gids, size_t lo,
+                    size_t n, const vec::SelectionVector* sel,
+                    AggState* slab) {
+  const uint8_t* validity =
+      (acc.input != nullptr && !acc.input->validity().empty())
+          ? acc.input->validity().data()
+          : nullptr;
+  if (acc.count_only) {
+    // COUNT(*) has no input (validity nullptr counts every selected row);
+    // COUNT(col) skips null inputs via the column's validity bytes.
+    if (sel != nullptr) {
+      vec::AccumulateCountSel(gids, *sel, nullptr, validity, slab);
+    } else {
+      vec::AccumulateCountRange(gids, lo, n, nullptr, validity, slab);
+    }
+    return;
+  }
+  if (acc.input->type() == ValueType::kInt64) {
+    const int64_t* data = acc.input->int64_data().data();
+    if (sel != nullptr) {
+      vec::AccumulateInt64Sel(gids, *sel, data, nullptr, validity, slab);
+    } else {
+      vec::AccumulateInt64Range(gids, lo, n, data, nullptr, validity, slab);
+    }
+  } else {
+    const double* data = acc.input->double_data().data();
+    if (sel != nullptr) {
+      vec::AccumulateDoubleSel(gids, *sel, data, nullptr, validity, slab);
+    } else {
+      vec::AccumulateDoubleRange(gids, lo, n, data, nullptr, validity, slab);
+    }
+  }
+}
 
 // The vectorized inner loop for one (query, set) over one morsel: group ids
 // once (radix kernel), group creation once (touch kernel), then one typed
-// flat-slab kernel per live aggregate. `sel == nullptr` means the query selects
-// the whole morsel and the kernels walk [lo, hi) directly.
-void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
+// flat-slab kernel per live accumulator. `sel == nullptr` means the query
+// selects the whole morsel and unfiltered accumulators walk [lo, hi)
+// directly; a FILTER'd accumulator walks its FILTER selection, whose group
+// ids are gathered once per set.
+void ScanMorselVec(const QuerySpec& spec, const SetSpec& set,
+                   const std::vector<SelRecipe>& recipes,
+                   const std::vector<FilterSel>& filter_sels, SetAccum* accum,
                    size_t lo, size_t hi, const vec::SelectionVector* sel,
                    VecScratch* scratch) {
   const size_t n = sel != nullptr ? sel->size() : hi - lo;
@@ -378,39 +488,24 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
     vec::GroupIdsRange(set.dims.data(), set.dims.size(), lo, hi, gids);
     vec::TouchGroupsRange(gids, lo, n, t);
   }
-  for (uint32_t j : set.live_aggs) {
-    const AggRuntime& a = spec.aggs[j];
-    const uint8_t* filter = a.filter != nullptr ? a.filter->data() : nullptr;
-    const uint8_t* validity =
-        (a.input != nullptr && !a.input->validity().empty())
-            ? a.input->validity().data()
-            : nullptr;
-    AggState* slab = t->slab(j);
-    if (a.count_only) {
-      // COUNT(*) has no input (validity nullptr counts every selected row);
-      // COUNT(col) skips null inputs via the column's validity bytes.
-      if (sel != nullptr) {
-        vec::AccumulateCountSel(gids, *sel, filter, validity, slab);
-      } else {
-        vec::AccumulateCountRange(gids, lo, n, filter, validity, slab);
-      }
+  const uint64_t stamp = ++scratch->set_stamp;
+  for (uint32_t a : set.live_accs) {
+    const AccRuntime& acc = spec.accs[a];
+    if (acc.filter_sel < 0) {
+      AccumulateInto(acc, gids, lo, n, sel, t->slab(a));
       continue;
     }
-    if (a.input->type() == ValueType::kInt64) {
-      const int64_t* data = a.input->int64_data().data();
-      if (sel != nullptr) {
-        vec::AccumulateInt64Sel(gids, *sel, data, filter, validity, slab);
-      } else {
-        vec::AccumulateInt64Range(gids, lo, n, data, filter, validity, slab);
-      }
-    } else {
-      const double* data = a.input->double_data().data();
-      if (sel != nullptr) {
-        vec::AccumulateDoubleSel(gids, *sel, data, filter, validity, slab);
-      } else {
-        vec::AccumulateDoubleRange(gids, lo, n, data, filter, validity, slab);
-      }
+    const size_t f = static_cast<size_t>(acc.filter_sel);
+    const vec::SelectionVector* fsel = scratch->FilterSelection(
+        recipes, filter_sels[f], acc.filter_sel, lo, hi);
+    if (fsel->size() == 0) continue;
+    std::vector<uint32_t>& fgids = scratch->filter_gids[f];
+    if (scratch->filter_stamp[f] != stamp) {
+      if (fgids.size() < fsel->size()) fgids.resize(fsel->size());
+      vec::GroupIdsSel(set.dims.data(), set.dims.size(), *fsel, fgids.data());
+      scratch->filter_stamp[f] = stamp;
     }
+    AccumulateInto(acc, fgids.data(), lo, fsel->size(), fsel, t->slab(a));
   }
 }
 
@@ -425,7 +520,8 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
 // scanned morsel (distinct bytes per morsel, so workers never contend) —
 // the record a later ResumeAfterCancel() scans the complement of.
 void WorkerLoop(const std::vector<QuerySpec>& specs,
-                const std::vector<SelRecipe>& recipes, size_t row_begin,
+                const std::vector<SelRecipe>& recipes,
+                const std::vector<FilterSel>& filter_sels, size_t row_begin,
                 size_t row_end, size_t morsel_rows,
                 const std::vector<size_t>& morsel_ids, bool use_simd,
                 std::atomic<size_t>* next_morsel,
@@ -436,7 +532,7 @@ void WorkerLoop(const std::vector<QuerySpec>& specs,
                 std::vector<uint8_t>* completed, WorkerState* state) {
   std::vector<int64_t> key_scratch;
   VecScratch vec_scratch;
-  vec_scratch.Prepare(recipes.size(), use_simd);
+  vec_scratch.Prepare(recipes.size(), filter_sels.size(), use_simd);
   for (size_t i = next_morsel->fetch_add(1, std::memory_order_relaxed);
        i < morsel_ids.size();
        i = next_morsel->fetch_add(1, std::memory_order_relaxed)) {
@@ -457,8 +553,8 @@ void WorkerLoop(const std::vector<QuerySpec>& specs,
           const vec::SelectionVector* sel =
               rid >= 0 ? vec_scratch.Selection(recipes[rid], rid, lo, hi)
                        : nullptr;
-          ScanMorselVec(specs[q], set, &(*state)[q][s], lo, hi, sel,
-                        &vec_scratch);
+          ScanMorselVec(specs[q], set, recipes, filter_sels, &(*state)[q][s],
+                        lo, hi, sel, &vec_scratch);
           used_vec = true;
           continue;
         }
@@ -474,6 +570,14 @@ void WorkerLoop(const std::vector<QuerySpec>& specs,
   }
 }
 
+// An aggregate retired while its accumulator stayed live for another
+// aggregate of the set: its merged state as of its retirement, so it stays
+// frozen there while the accumulator keeps going.
+struct FrozenAgg {
+  uint32_t agg = 0;
+  std::vector<AggState> states;
+};
+
 // Merged (cross-worker, cross-phase) groups for one (query, set). Persists
 // across phases; each phase's worker partials fold into it. Vectorized sets
 // find their groups by dense slot, hash-path sets by packed key.
@@ -482,25 +586,47 @@ struct GlobalGroups {
   std::unordered_map<std::vector<int64_t>, int32_t, internal::PackedKeyHash>
       key_to_global;
   std::vector<uint32_t> rep_row;
+  /// states[accumulator][group].
   std::vector<std::vector<AggState>> states;
+  std::vector<FrozenAgg> frozen;
+  /// Aggregates retired since the last pass whose accumulator was still
+  /// live then. The snapshot is taken just before the accumulator next
+  /// moves, and only if it is still live: when every aggregate of an
+  /// accumulator retires at one boundary, no copy is made.
+  std::vector<uint32_t> freeze_pending;
+
+  // A new group starts empty for every accumulator and every frozen
+  // aggregate: a retired aggregate reads an empty state for the groups
+  // first seen after its retirement.
+  void NewGroup(uint32_t row) {
+    rep_row.push_back(row);
+    for (auto& per_acc : states) per_acc.emplace_back();
+    for (FrozenAgg& f : frozen) f.states.emplace_back();
+  }
+
+  /// Aggregate j's per-group states: its snapshot if it froze while its
+  /// accumulator stayed live, else the accumulator itself.
+  const AggState* StatesOf(const QuerySpec& spec, size_t j) const {
+    for (const FrozenAgg& f : frozen) {
+      if (f.agg == j) return f.states.data();
+    }
+    return states[spec.acc_of[j]].data();
+  }
 };
 
 // Folds one worker's hash-path partial state for one (query, set) into the
 // persistent global state. Key parts are table-global (dictionary codes /
 // bit patterns), so partials from different workers and phases merge
-// correctly. Only live aggregates merge: a retired aggregate's state stays
+// correctly. Only live accumulators merge: a retired one's state stays
 // frozen.
 void MergeWorkerInto(const SetSpec& set, const LocalGroups& lg,
                      GlobalGroups* global) {
   for (size_t l = 0; l < lg.rep_row.size(); ++l) {
     auto [it, inserted] = global->key_to_global.emplace(
         lg.keys[l], static_cast<int32_t>(global->rep_row.size()));
-    if (inserted) {
-      global->rep_row.push_back(lg.rep_row[l]);
-      for (auto& per_agg : global->states) per_agg.emplace_back();
-    }
-    for (uint32_t j : set.live_aggs) {
-      global->states[j][it->second].Merge(lg.states[j][l]);
+    if (inserted) global->NewGroup(lg.rep_row[l]);
+    for (uint32_t a : set.live_accs) {
+      global->states[a][it->second].Merge(lg.states[a][l]);
     }
   }
 }
@@ -517,30 +643,30 @@ void MergeDenseInto(const SetSpec& set, const vec::DenseAggTable& t,
     int32_t& slot_gid = global->dense_to_global[slot];
     if (slot_gid < 0) {
       slot_gid = static_cast<int32_t>(global->rep_row.size());
-      global->rep_row.push_back(t.rep_row[i]);
-      for (auto& per_agg : global->states) per_agg.emplace_back();
+      global->NewGroup(t.rep_row[i]);
     }
-    for (uint32_t j : set.live_aggs) {
-      global->states[j][slot_gid].Merge(t.slab(j)[slot]);
+    for (uint32_t a : set.live_accs) {
+      global->states[a][slot_gid].Merge(t.slab(a)[slot]);
     }
   }
 }
 
 // Materializes one (query, set) result through the shared grouped-output
 // shape (internal::MaterializeGroupedResult), so the fused path stays
-// byte-identical to ExecuteGroupingSets by construction. Works on partial
-// (mid-scan) state just as well as on final state — the caller decides when
-// the numbers mean something.
+// byte-identical to ExecuteGroupingSets by construction. Each aggregate
+// reads its accumulator (or its retirement snapshot) in place. Works on
+// partial (mid-scan) state just as well as on final state — the caller
+// decides when the numbers mean something.
 Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
-                             size_t set_index, const SetSpec& set,
-                             const GlobalGroups& global) {
+                             const QuerySpec& spec, size_t set_index,
+                             const SetSpec& set, const GlobalGroups& global) {
   // A global aggregate (empty grouping set) always has its one group, even
   // when no row passes the mask — matching GroupKeyBuilder, which creates
   // group 0 unconditionally.
   if (set.cols.empty() && global.rep_row.empty()) {
     std::vector<std::vector<Value>> keys(1);
-    std::vector<std::vector<AggState>> states(query.aggregates.size());
-    for (auto& per_agg : states) per_agg.emplace_back();
+    const AggState empty;
+    std::vector<const AggState*> states(query.aggregates.size(), &empty);
     return internal::MaterializeGroupedResult(
         table, query.grouping_sets[set_index], query.aggregates,
         std::move(keys), states);
@@ -553,9 +679,13 @@ Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
       keys[g].push_back(table.column(idx).GetValue(global.rep_row[g]));
     }
   }
+  std::vector<const AggState*> states(query.aggregates.size());
+  for (size_t j = 0; j < states.size(); ++j) {
+    states[j] = global.StatesOf(spec, j);
+  }
   return internal::MaterializeGroupedResult(
       table, query.grouping_sets[set_index], query.aggregates, std::move(keys),
-      global.states);
+      states);
 }
 
 // Shared mask evaluation: every distinct predicate / sample configuration
@@ -744,23 +874,41 @@ class SharedScanState::Impl {
         if (spec.mask != nullptr) spec.recipe = MaskRecipe(spec.mask);
       }
 
+      // Accumulators: one per distinct (input column, FILTER mask) pair,
+      // in first-seen aggregate order. MaskCache hands out one mask per
+      // distinct FILTER predicate, so the pointer identifies the rows.
       for (const auto& agg : query.aggregates) {
-        AggRuntime rt;
+        AccRuntime rt;
         if (!agg.input.empty()) {
           SEEDB_ASSIGN_OR_RETURN(rt.input, table_.ColumnByName(agg.input));
         }
-        rt.count_only =
-            rt.input == nullptr || agg.func == AggregateFunction::kCount;
         SEEDB_ASSIGN_OR_RETURN(rt.filter,
                                masks_.PredicateMask(agg.filter.get()));
-        spec.aggs.push_back(rt);
+        size_t a = 0;
+        while (a < spec.accs.size() && (spec.accs[a].input != rt.input ||
+                                        spec.accs[a].filter != rt.filter)) {
+          ++a;
+        }
+        if (a == spec.accs.size()) {
+          if (rt.filter != nullptr) {
+            rt.filter_sel = FilterSelId(spec.recipe, rt.filter);
+          }
+          spec.accs.push_back(rt);
+        }
+        spec.accs[a].count_only &= rt.input == nullptr ||
+                                   agg.func == AggregateFunction::kCount;
+        spec.acc_of.push_back(static_cast<uint32_t>(a));
       }
       for (SetSpec& set : spec.sets) {
-        set.live_aggs.resize(spec.aggs.size());
-        for (size_t j = 0; j < spec.aggs.size(); ++j) {
+        set.live_aggs.resize(query.aggregates.size());
+        for (size_t j = 0; j < set.live_aggs.size(); ++j) {
           set.live_aggs[j] = static_cast<uint32_t>(j);
         }
-        total_agg_units_ += spec.aggs.size();
+        set.live_accs.resize(spec.accs.size());
+        for (size_t a = 0; a < spec.accs.size(); ++a) {
+          set.live_accs[a] = static_cast<uint32_t>(a);
+        }
+        total_acc_units_ += spec.accs.size();
       }
     }
 
@@ -769,7 +917,7 @@ class SharedScanState::Impl {
       globals_[q].resize(specs_[q].sets.size());
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
         GlobalGroups& global = globals_[q][s];
-        global.states.resize(specs_[q].aggs.size());
+        global.states.resize(specs_[q].accs.size());
         if (specs_[q].sets[s].dense_slots > 0) {
           global.dense_to_global.assign(specs_[q].sets[s].dense_slots, -1);
         }
@@ -790,8 +938,8 @@ class SharedScanState::Impl {
               PartialAggCacheKey(table_, table_version_, queries_[q], s);
           std::shared_ptr<const CachedPartialAgg> entry =
               cache_->Lookup(cache_keys_[q][s]);
-          if (entry == nullptr ||
-              entry->states.size() != specs_[q].aggs.size()) {
+          if (entry == nullptr || entry->acc_of != specs_[q].acc_of ||
+              entry->count_only != CountOnlyFlags(specs_[q])) {
             ++cache_misses_;
             continue;
           }
@@ -870,6 +1018,27 @@ class SharedScanState::Impl {
     return true;
   }
 
+  // FILTER selection id for (query recipe, FILTER mask), deduplicated so
+  // every query with the same row filter and FILTER shares one selection
+  // per morsel.
+  int FilterSelId(int base, const std::vector<uint8_t>* filter) {
+    for (size_t i = 0; i < filter_sels_.size(); ++i) {
+      if (filter_sels_[i].base == base && filter_sels_[i].filter == filter) {
+        return static_cast<int>(i);
+      }
+    }
+    filter_sels_.push_back(FilterSel{base, filter});
+    return static_cast<int>(filter_sels_.size() - 1);
+  }
+
+  static std::vector<uint8_t> CountOnlyFlags(const QuerySpec& spec) {
+    std::vector<uint8_t> flags(spec.accs.size());
+    for (size_t a = 0; a < flags.size(); ++a) {
+      flags[a] = spec.accs[a].count_only ? 1 : 0;
+    }
+    return flags;
+  }
+
   // Recipe id for a byte-mask filter, deduplicated by mask pointer (the
   // MaskCache guarantees pointer identity per distinct configuration).
   int MaskRecipe(const std::vector<uint8_t>* mask) {
@@ -910,27 +1079,44 @@ class SharedScanState::Impl {
     return std::any_of(specs_[q].sets.begin(), specs_[q].sets.end(), Scanned);
   }
 
-  /// Live (set, aggregate) pairs the scan still accumulates: the per-row
+  /// Live (set, accumulator) pairs the scan still accumulates: the per-row
   /// work unit behind adaptive morsel sizing and engine.scan.agg_rows.
-  size_t scanned_agg_units() const {
+  size_t scanned_acc_units() const {
     size_t units = 0;
     for (const QuerySpec& spec : specs_) {
       for (const SetSpec& set : spec.sets) {
-        if (Scanned(set)) units += set.live_aggs.size();
+        if (Scanned(set)) units += set.live_accs.size();
       }
     }
     return units;
   }
 
+  // Retiring j stops its accumulator only once no other live aggregate of
+  // the set reads it; until then j's merged state is snapshotted (before the
+  // next pass, see FreezeRetired) so j stays frozen at this point, exactly
+  // as if it had its own accumulator.
   Status RetireAggregate(size_t q, size_t s, size_t j) {
     if (q >= queries_.size() || s >= specs_[q].sets.size() ||
-        j >= specs_[q].aggs.size()) {
+        j >= specs_[q].acc_of.size()) {
       return Status::InvalidArgument("aggregate index out of range");
     }
-    std::vector<uint32_t>& live = specs_[q].sets[s].live_aggs;
+    SetSpec& set = specs_[q].sets[s];
+    std::vector<uint32_t>& live = set.live_aggs;
     auto it = std::find(live.begin(), live.end(), static_cast<uint32_t>(j));
     if (it == live.end()) return Status::OK();
     live.erase(it);
+    const std::vector<uint32_t>& acc_of = specs_[q].acc_of;
+    const uint32_t a = acc_of[j];
+    const bool shared = std::any_of(live.begin(), live.end(), [&](uint32_t k) {
+      return acc_of[k] == a;
+    });
+    if (!shared) {
+      set.live_accs.erase(
+          std::find(set.live_accs.begin(), set.live_accs.end(), a));
+    } else if (!set.adopted) {
+      // An adopted set never changes again, so it needs no snapshot.
+      globals_[q][s].freeze_pending.push_back(static_cast<uint32_t>(j));
+    }
     static obs::Counter* retired =
         obs::Registry::Global().GetCounter("engine.pruning.aggs_retired");
     retired->Add();
@@ -982,16 +1168,16 @@ class SharedScanState::Impl {
     // Adaptive mode re-derives the morsel size per phase: from the phase's
     // own row range (phases are slices of the table; sizing them off the
     // whole table would make early phases one giant morsel) scaled up by the
-    // fraction of (set, aggregate) pairs no longer scanned — each retired or
+    // fraction of (set, accumulator) pairs no longer scanned — each retired or
     // adopted pair cuts per-morsel work, so surviving phases take
     // proportionally coarser morsels instead of over-scheduling the pool.
-    const size_t agg_units = scanned_agg_units();
+    const size_t acc_units = scanned_acc_units();
     size_t morsel_rows = morsel_rows_;
     if (adaptive_morsels_) {
       const size_t base = AdaptiveMorselRows(row_end - row_begin, threads_);
-      const size_t live = std::max<size_t>(1, agg_units);
+      const size_t live = std::max<size_t>(1, acc_units);
       const size_t coarse =
-          base * std::max<size_t>(1, total_agg_units_ / live);
+          base * std::max<size_t>(1, total_acc_units_ / live);
       // Never coarser than one morsel per worker (while rows allow it).
       const size_t per_worker =
           (row_end - row_begin + threads_ - 1) / std::max<size_t>(1, threads_);
@@ -1005,7 +1191,7 @@ class SharedScanState::Impl {
     for (size_t m = 0; m < num_morsels; ++m) all[m] = m;
     std::vector<uint8_t> completed(num_morsels, 0);
     size_t done = num_morsels;
-    if (agg_units > 0) {
+    if (acc_units > 0) {
       done = ScanMorsels(all, row_begin, row_end, morsel_rows, &completed);
     } else {
       // Every set was either cache-adopted or retired: the phase is a
@@ -1132,6 +1318,7 @@ class SharedScanState::Impl {
                      size_t row_end, size_t morsel_rows,
                      std::vector<uint8_t>* completed) {
     if (ids.empty()) return 0;
+    FreezeRetired();
     const size_t threads = std::max<size_t>(1, std::min(threads_, ids.size()));
     // Worker accumulation state persists in the Impl and is reset (capacity-
     // preserving) per pass, so dense slabs are allocated once per worker for
@@ -1148,9 +1335,10 @@ class SharedScanState::Impl {
     const bool record_spans = obs::TraceRecorder::ShouldTrace(trace_);
     if (threads == 1) {
       SEEDB_TRACE_SPAN_IF(worker_span, "scan.worker", 0, record_spans);
-      WorkerLoop(specs_, recipes_, row_begin, row_end, morsel_rows, ids,
-                 use_simd_, &next_morsel, cancel_, &morsels_done, &vec_morsels,
-                 &simd_morsels, completed, &worker_states_[0]);
+      WorkerLoop(specs_, recipes_, filter_sels_, row_begin, row_end,
+                 morsel_rows, ids, use_simd_, &next_morsel, cancel_,
+                 &morsels_done, &vec_morsels, &simd_morsels, completed,
+                 &worker_states_[0]);
     } else {
       // The pool persists across phases — spawning threads per phase would
       // bill their creation to every phase_seconds measurement.
@@ -1164,9 +1352,10 @@ class SharedScanState::Impl {
                                          &vec_morsels, &simd_morsels, completed,
                                          record_spans, state] {
           SEEDB_TRACE_SPAN_IF(worker_span, "scan.worker", 0, record_spans);
-          WorkerLoop(specs_, recipes_, row_begin, row_end, morsel_rows, ids,
-                     use_simd_, &next_morsel, cancel_, &morsels_done,
-                     &vec_morsels, &simd_morsels, completed, state);
+          WorkerLoop(specs_, recipes_, filter_sels_, row_begin, row_end,
+                     morsel_rows, ids, use_simd_, &next_morsel, cancel_,
+                     &morsels_done, &vec_morsels, &simd_morsels, completed,
+                     state);
         }));
       }
       for (auto& f : futures) f.get();
@@ -1188,7 +1377,7 @@ class SharedScanState::Impl {
       }
     }
     // Accumulation work this pass: rows of every completed morsel times the
-    // live (set, aggregate) pairs each of those rows fed.
+    // live (set, accumulator) pairs each of those rows fed.
     size_t pass_rows = 0;
     for (size_t m : ids) {
       if (!(*completed)[m]) continue;
@@ -1197,11 +1386,29 @@ class SharedScanState::Impl {
     }
     static obs::Counter* obs_agg_rows =
         obs::Registry::Global().GetCounter("engine.scan.agg_rows");
-    obs_agg_rows->Add(pass_rows * scanned_agg_units());
+    obs_agg_rows->Add(pass_rows * scanned_acc_units());
     threads_used_ = std::max(threads_used_, threads);
     vectorized_morsels_ += vec_morsels.load(std::memory_order_relaxed);
     simd_morsels_ += simd_morsels.load(std::memory_order_relaxed);
     return morsels_done.load(std::memory_order_relaxed);
+  }
+
+  // Snapshots every aggregate retired since the last pass whose accumulator
+  // is still live, before this pass moves the accumulator on.
+  void FreezeRetired() {
+    for (size_t q = 0; q < specs_.size(); ++q) {
+      for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
+        GlobalGroups& global = globals_[q][s];
+        const std::vector<uint32_t>& live = specs_[q].sets[s].live_accs;
+        for (uint32_t j : global.freeze_pending) {
+          const uint32_t a = specs_[q].acc_of[j];
+          if (std::find(live.begin(), live.end(), a) != live.end()) {
+            global.frozen.push_back(FrozenAgg{j, global.states[a]});
+          }
+        }
+        global.freeze_pending.clear();
+      }
+    }
   }
 
   // Sets with no live aggregate come back as empty placeholder tables (no
@@ -1220,8 +1427,8 @@ class SharedScanState::Impl {
         continue;
       }
       SEEDB_ASSIGN_OR_RETURN(
-          Table out, MaterializeSet(table_, queries_[q], s, specs_[q].sets[s],
-                                    globals_[q][s]));
+          Table out, MaterializeSet(table_, queries_[q], specs_[q], s,
+                                    specs_[q].sets[s], globals_[q][s]));
       results.push_back(std::move(out));
     }
     return results;
@@ -1253,12 +1460,15 @@ class SharedScanState::Impl {
     for (size_t q = 0; q < queries_.size(); ++q) {
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
         const SetSpec& set = specs_[q].sets[s];
-        if (set.adopted || set.live_aggs.size() != specs_[q].aggs.size()) {
+        if (set.adopted ||
+            set.live_aggs.size() != specs_[q].acc_of.size()) {
           continue;
         }
         CachedPartialAgg entry;
         entry.rep_row = globals_[q][s].rep_row;
         entry.states = globals_[q][s].states;
+        entry.acc_of = specs_[q].acc_of;
+        entry.count_only = CountOnlyFlags(specs_[q]);
         cache_->Insert(cache_keys_[q][s], std::move(entry));
       }
     }
@@ -1284,10 +1494,11 @@ class SharedScanState::Impl {
     s.cache_hits = cache_hits_;
     s.cache_misses = cache_misses_;
     for (size_t q = 0; q < globals_.size(); ++q) {
-      for (size_t g = 0; g < globals_[q].size(); ++g) {
-        s.total_groups += globals_[q][g].rep_row.size();
+      for (const GlobalGroups& global : globals_[q]) {
+        const size_t groups = global.rep_row.size();
+        s.total_groups += groups;
         s.agg_state_bytes +=
-            globals_[q][g].rep_row.size() * specs_[q].aggs.size() *
+            groups * (specs_[q].accs.size() + global.frozen.size()) *
             sizeof(AggState);
       }
     }
@@ -1317,9 +1528,11 @@ class SharedScanState::Impl {
   /// Selection recipes (fused compares + mask conversions) referenced by
   /// QuerySpec::recipe; deduplicated, shared across queries.
   std::vector<SelRecipe> recipes_;
+  /// FILTER selections referenced by AccRuntime::filter_sel; deduplicated.
+  std::vector<FilterSel> filter_sels_;
   bool use_simd_ = false;
-  /// (set, aggregate) pairs across the whole batch, live or not.
-  size_t total_agg_units_ = 0;
+  /// (set, accumulator) pairs across the whole batch, live or not.
+  size_t total_acc_units_ = 0;
   /// Cross-session cache wiring; keys are precomputed per (query, set) at
   /// Init (empty when cache_ is null).
   PartialAggCache* cache_ = nullptr;

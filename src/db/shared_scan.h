@@ -15,6 +15,15 @@
 // across the whole batch, not once per query. Both inner loops produce
 // bit-identical aggregates (pinned by tests/db/vec_equivalence_test.cc).
 //
+// State is kept per *accumulator*, not per aggregate: one AggState array
+// per distinct (input column, FILTER) pair of a query, which every
+// aggregate over that pair reads (AggState holds count, sum, min and max at
+// once), so SUM(m), AVG(m) and COUNT(m) under one FILTER cost one kernel
+// pass. In the vectorized loop a FILTER'd accumulator runs over its
+// filter's per-morsel selection instead of testing the filter per row.
+// Results, retirement and the cache key stay per aggregate (pinned by
+// tests/db/accumulator_sharing_test.cc).
+//
 // Two entry points:
 //
 //   * ExecuteSharedScan — the whole batch in ONE pass (the PR 1 interface).
@@ -56,7 +65,7 @@ struct SharedScanOptions {
   /// Rows per morsel (the work-stealing unit). 0 = adaptive: derived from
   /// row and thread count via AdaptiveMorselRows() — re-derived at every
   /// phase start from the phase's row range and the fraction of (grouping
-  /// set, aggregate) pairs still scanned — so small tables (and late,
+  /// set, accumulator) pairs still scanned — so small tables (and late,
   /// mostly-pruned phases) stop over-scheduling while large ones keep
   /// stealing granularity.
   size_t morsel_rows = 0;
@@ -105,7 +114,7 @@ struct SharedScanOptions {
 /// Largest composed group space (product of per-column dict_size + 1) a
 /// grouping set may have and still take the vectorized kernels; above it the
 /// set takes the hash path. Bounds per-worker slab memory at
-/// slots * aggregates * sizeof(AggState).
+/// slots * accumulators * sizeof(AggState).
 inline constexpr size_t kDenseSlotBudget = 16384;
 
 /// The morsel size `morsel_rows = 0` resolves to: aim for a handful of
@@ -126,7 +135,11 @@ struct SharedScanStats {
   /// Groups materialized across all queries and grouping sets.
   size_t total_groups = 0;
   /// Merged aggregation-state footprint across the whole batch — all hash
-  /// tables are live at once, the working-memory trade-off §3.3 describes.
+  /// tables are live at once, the working-memory trade-off §3.3 describes:
+  /// groups x accumulators x sizeof(AggState) per (query, grouping set),
+  /// plus the snapshot of each aggregate retired while its accumulator
+  /// stayed live for another. The bytes actually held, which is what
+  /// memory budgets meter.
   size_t agg_state_bytes = 0;
   size_t morsels = 0;
   /// Morsels whose inner loop ran the vectorized kernels (dense group-id +
@@ -149,12 +162,14 @@ struct SharedScanStats {
   size_t phases = 0;
   /// Morsel size the most recent phase resolved to (equals the configured
   /// morsel_rows unless adaptive sizing is on, which coarsens morsels as
-  /// (set, aggregate) pairs retire).
+  /// (set, accumulator) pairs retire).
   size_t last_phase_morsel_rows = 0;
   /// Distinct selection recipes (fused compares + mask conversions) the
   /// batch resolved to. Queries whose row filters are semantically equal —
   /// however the literal was spelled — share one recipe, hence one
-  /// SelectionVector per morsel between them.
+  /// SelectionVector per morsel between them. Row filters (WHERE and
+  /// sampling) only: the per-morsel FILTER selections built from a recipe
+  /// and a FILTER mask are not counted.
   size_t selection_recipes = 0;
   /// (query, grouping set) pairs adopted from / missed in the cross-session
   /// cache at Init. Both stay 0 when no cache is configured.
@@ -225,8 +240,11 @@ class SharedScanState {
   /// later phases neither accumulate nor merge it, so its merged state
   /// stays frozen at the rows seen so far, and the (q, set) pair is no
   /// longer published to the result cache. Every other (set, aggregate)
-  /// accumulates exactly as before. Once a set has no live aggregate left
-  /// it is not scanned at all. Idempotent; permanent.
+  /// accumulates exactly as before. The aggregate's accumulator stops once
+  /// no live aggregate of the set reads it; while one still does, the
+  /// retired aggregate's state is snapshotted before the next phase. Once a
+  /// set has no live aggregate left it is not scanned at all. Idempotent;
+  /// permanent.
   Status RetireAggregate(size_t q, size_t set, size_t aggregate);
   /// Retires every aggregate of query `q`: later phases skip it and
   /// FinalResults() leaves its slot empty. Idempotent.

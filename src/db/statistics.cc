@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/histogram.h"
@@ -10,42 +10,125 @@
 namespace seedb::db {
 namespace {
 
-// Frequency table over a column's non-null values, keyed by a compact code.
-// Strings use dictionary codes; numerics use a value map.
-std::vector<size_t> ValueFrequencies(const Column& col) {
+// A column's value distribution, built without a node per row: string
+// columns count dictionary codes in one array; numeric columns sort one copy
+// of their non-null values, whose runs are the distinct values.
+struct Distribution {
+  size_t distinct = 0;
+  /// Occurrences of each distinct non-null value: in dictionary-code order
+  /// for strings, in ascending value order for numerics.
   std::vector<size_t> freqs;
+  /// The kTopValues most frequent values: count descending, then value
+  /// ascending.
+  std::vector<std::pair<Value, size_t>> top;
+};
+
+// Keeps the kTopValues best runs of a sorted column as the runs arrive in
+// ascending value order: a later run displaces a kept one only with a
+// strictly larger count, so equal counts go to the smaller value.
+class TopRuns {
+ public:
+  /// `first` is the run's index into the sorted values.
+  void Offer(size_t count, size_t first) {
+    if (top_.size() == ColumnStats::kTopValues && count <= top_.back().first) {
+      return;
+    }
+    auto pos = std::upper_bound(
+        top_.begin(), top_.end(), count,
+        [](size_t c, const std::pair<size_t, size_t>& e) {
+          return c > e.first;
+        });
+    top_.insert(pos, {count, first});
+    if (top_.size() > ColumnStats::kTopValues) top_.pop_back();
+  }
+  const std::vector<std::pair<size_t, size_t>>& runs() const { return top_; }
+
+ private:
+  std::vector<std::pair<size_t, size_t>> top_;  // (count, first index)
+};
+
+Distribution StringDistribution(const Column& col) {
+  Distribution d;
+  d.distinct = col.CountDistinct();
+  std::vector<size_t> counts(col.dict_size(), 0);
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) ++counts[col.codes()[i]];
+  }
+  std::vector<int32_t> seen;
+  for (size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] == 0) continue;  // codes backing only null slots
+    d.freqs.push_back(counts[c]);
+    seen.push_back(static_cast<int32_t>(c));
+  }
+  const size_t k = std::min(seen.size(), ColumnStats::kTopValues);
+  std::partial_sort(seen.begin(), seen.begin() + k, seen.end(),
+                    [&](int32_t a, int32_t b) {
+                      if (counts[a] != counts[b]) return counts[a] > counts[b];
+                      return col.dict_value(a) < col.dict_value(b);
+                    });
+  for (size_t i = 0; i < k; ++i) {
+    d.top.emplace_back(Value(col.dict_value(seen[i])), counts[seen[i]]);
+  }
+  return d;
+}
+
+// Distinct values are the runs of equal values in the sorted copy (-0.0 and
+// +0.0 are one value, as under ==). A NaN equals nothing, so each NaN is a
+// distinct value of its own, ordered after every number.
+template <typename T>
+Distribution NumericDistribution(const Column& col,
+                                 const std::vector<T>& data) {
+  std::vector<T> sorted;
+  sorted.reserve(col.size() - col.null_count());
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) sorted.push_back(data[i]);
+  }
+  auto numbers_end = std::partition(sorted.begin(), sorted.end(),
+                                    [](T v) { return v == v; });
+  std::sort(sorted.begin(), numbers_end);
+  const size_t numbers = static_cast<size_t>(numbers_end - sorted.begin());
+
+  Distribution d;
+  TopRuns top;
+  for (size_t first = 0; first < sorted.size();) {
+    size_t last = first + 1;
+    if (first < numbers) {
+      while (last < numbers && sorted[last] == sorted[first]) ++last;
+    }
+    d.freqs.push_back(last - first);
+    top.Offer(last - first, first);
+    first = last;
+  }
+  d.distinct = d.freqs.size();
+  for (const auto& [count, first] : top.runs()) {
+    T value = sorted[first];
+    if (std::is_floating_point_v<T> && value == T{0}) {
+      // The zero run may mix -0.0 and +0.0; report the sign of the first
+      // zero in row order.
+      for (size_t i = 0; i < col.size(); ++i) {
+        if (!col.IsNull(i) && data[i] == T{0}) {
+          value = data[i];
+          break;
+        }
+      }
+    }
+    d.top.emplace_back(Value(value), count);
+  }
+  return d;
+}
+
+Distribution ValueDistribution(const Column& col) {
   switch (col.type()) {
-    case ValueType::kString: {
-      freqs.assign(col.dict_size(), 0);
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++freqs[col.codes()[i]];
-      }
-      break;
-    }
-    case ValueType::kInt64: {
-      std::unordered_map<int64_t, size_t> m;
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++m[col.int64_data()[i]];
-      }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
-      break;
-    }
-    case ValueType::kDouble: {
-      std::unordered_map<double, size_t> m;
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++m[col.double_data()[i]];
-      }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
-      break;
-    }
+    case ValueType::kString:
+      return StringDistribution(col);
+    case ValueType::kInt64:
+      return NumericDistribution(col, col.int64_data());
+    case ValueType::kDouble:
+      return NumericDistribution(col, col.double_data());
     case ValueType::kNull:
       break;
   }
-  // Drop zero-count entries (dictionary codes referenced only by null slots).
-  freqs.erase(std::remove(freqs.begin(), freqs.end(), size_t{0}), freqs.end());
-  return freqs;
+  return Distribution{};
 }
 
 }  // namespace
@@ -59,7 +142,6 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
   stats.role = def.role;
   stats.row_count = col.size();
   stats.null_count = col.null_count();
-  stats.distinct_count = col.CountDistinct();
 
   if (col.type() == ValueType::kInt64 || col.type() == ValueType::kDouble) {
     RunningStats rs;
@@ -72,39 +154,26 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
     stats.variance = rs.variance();
   }
 
+  Distribution dist = ValueDistribution(col);
+  stats.distinct_count = dist.distinct;
   // Diversity and entropy over the value distribution.
-  std::vector<size_t> freqs = ValueFrequencies(col);
   size_t total = 0;
-  for (size_t f : freqs) total += f;
+  for (size_t f : dist.freqs) total += f;
   if (total > 0) {
     double sum_p2 = 0.0;
     double entropy = 0.0;
-    for (size_t f : freqs) {
+    for (size_t f : dist.freqs) {
       double p = static_cast<double>(f) / static_cast<double>(total);
       sum_p2 += p * p;
       entropy -= p * std::log(p);
     }
     stats.diversity = 1.0 - sum_p2;
     stats.normalized_entropy =
-        freqs.size() > 1 ? entropy / std::log(static_cast<double>(freqs.size()))
-                         : 0.0;
+        dist.freqs.size() > 1
+            ? entropy / std::log(static_cast<double>(dist.freqs.size()))
+            : 0.0;
   }
-
-  // Top values: exact counts via value map (column cardinalities in SeeDB's
-  // dimension model are small enough for this to be cheap).
-  std::map<Value, size_t> counts;
-  for (size_t i = 0; i < col.size(); ++i) {
-    if (!col.IsNull(i)) ++counts[col.GetValue(i)];
-  }
-  std::vector<std::pair<Value, size_t>> sorted(counts.begin(), counts.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (sorted.size() > ColumnStats::kTopValues) {
-    sorted.resize(ColumnStats::kTopValues);
-  }
-  stats.top_values = std::move(sorted);
+  stats.top_values = std::move(dist.top);
   return stats;
 }
 

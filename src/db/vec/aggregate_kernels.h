@@ -1,17 +1,19 @@
 // Typed flat-array aggregation kernels over dense group ids.
 //
-// Each worker accumulates one contiguous slab of AggState per (aggregate,
-// group slot) — agg-major layout, so one kernel call walks one contiguous
-// run of accumulators indexed directly by the group-id vector, with no hash
-// probe and no per-row virtual dispatch. Slabs are merged into the scan's
+// Each worker accumulates one contiguous slab of AggState per (accumulator,
+// group slot) — accumulator-major layout, so one kernel call walks one
+// contiguous run of states indexed directly by the group-id vector, with no
+// hash probe and no per-row virtual dispatch. Slabs are merged into the scan's
 // persistent global state at phase end (db/shared_scan.cc), touched slots
 // only, in first-seen order — the same merge order as the hash path, which
 // is what keeps the two paths bit-identical (sum reassociation included).
 //
 // Null handling matches the scalar path exactly: a null measure row is
-// skipped by SUM/MIN/MAX/AVG and by COUNT(col), counted by COUNT(*); an
-// aggregate FILTER mask is tested per row inside the kernel (the branch is
-// hoisted when absent).
+// skipped by SUM/MIN/MAX/AVG and by COUNT(col), counted by COUNT(*). A
+// FILTER mask, when passed, is tested per row inside the kernel (the branch
+// is hoisted when absent); the fused scan passes none — it runs a FILTER'd
+// accumulator over the FILTER's selection instead — so the parameter serves
+// direct callers such as the benchmark's kernel measurements.
 
 #ifndef SEEDB_DB_VEC_AGGREGATE_KERNELS_H_
 #define SEEDB_DB_VEC_AGGREGATE_KERNELS_H_
@@ -26,8 +28,9 @@
 namespace seedb::db::vec {
 
 /// \brief One worker's flat aggregation state for one (query, grouping set):
-/// `slots * num_aggs` AggStates plus the touched-slot record that makes the
-/// sparse merge and group materialization possible.
+/// `slots * num_aggs` AggStates (one slab per accumulator in the fused scan)
+/// plus the touched-slot record that makes the sparse merge and group
+/// materialization possible.
 struct DenseAggTable {
   uint32_t slots = 0;
   uint32_t num_aggs = 0;
@@ -91,8 +94,8 @@ void TouchGroupsSel(const uint32_t* gids, const SelectionVector& sel,
 
 // -- Accumulation kernels ----------------------------------------------------
 //
-// `slab` is one aggregate's contiguous run (DenseAggTable::slab(j)).
-// `filter` is the aggregate's FILTER mask bytes (nullptr = unconditional);
+// `slab` is one accumulator's contiguous run (DenseAggTable::slab(a)).
+// `filter` is a FILTER mask's bytes (nullptr = unconditional);
 // `validity` the input column's validity bytes (nullptr = no nulls).
 
 /// COUNT: counts rows passing filter whose input is non-null (pass

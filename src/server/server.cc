@@ -692,20 +692,35 @@ std::string RecommendationServer::HandleLine(const std::string& line) {
 std::string RecommendationServer::HandleLineOnConn(const std::string& line,
                                                    ReqCtx* ctx) {
   requests_.fetch_add(1);
-  Result<JsonValue> parsed = ParseJson(line);
-  if (!parsed.ok()) {
+  std::string id;
+  // Every request line, socketless or on a connection's strand, passes
+  // here: a handler that throws is answered `internal` and the strand goes
+  // on to its next line, instead of unwinding out of RunStrand with
+  // strand_scheduled still set and leaving the connection unanswered.
+  try {
+    Result<JsonValue> parsed = ParseJson(line);
+    if (!parsed.ok()) {
+      errors_.fetch_add(1);
+      return ErrorResponse(parsed.status(), "").Dump();
+    }
+    if (!parsed->is_object()) {
+      errors_.fetch_add(1);
+      return ErrorResponse(
+                 Status::InvalidArgument("request must be a JSON object"), "")
+          .Dump();
+    }
+    id = parsed->GetString("id");
+    JsonValue response = Dispatch(*parsed, ctx);
+    if (!response.GetBool("ok")) errors_.fetch_add(1);
+    return response.Dump();
+  } catch (const std::exception& e) {
     errors_.fetch_add(1);
-    return ErrorResponse(parsed.status(), "").Dump();
-  }
-  if (!parsed->is_object()) {
-    errors_.fetch_add(1);
+    ctx->after_send = nullptr;  // the request failed; start nothing
     return ErrorResponse(
-               Status::InvalidArgument("request must be a JSON object"), "")
+               Status::Internal(std::string("request failed: ") + e.what()),
+               id)
         .Dump();
   }
-  JsonValue response = Dispatch(*parsed, ctx);
-  if (!response.GetBool("ok")) errors_.fetch_add(1);
-  return response.Dump();
 }
 
 JsonValue RecommendationServer::Dispatch(const JsonValue& request,

@@ -35,7 +35,8 @@
 //     bounded work instead of unbounded sessions.
 //
 // Malformed input (truncated JSON, unknown ops, ids after finish) produces
-// an {"ok":false,...} response and leaves the loop intact; only an
+// an {"ok":false,...} response and leaves the loop intact, and so does a
+// handler that throws (answered `internal` with the request's id); only an
 // over-long line (memory protection) closes the offending connection.
 
 #ifndef SEEDB_SERVER_SERVER_H_

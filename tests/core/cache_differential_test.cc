@@ -233,10 +233,11 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
 }
 
 TEST_F(CacheDifferentialTest, LruEvictionUnderBudgetNeverChangesAnswers) {
-  // A budget big enough for roughly one request's entries but not two
-  // different requests': alternating selections thrash the LRU.
+  // A budget big enough for one request's entries but not two different
+  // requests' (the wide request's entries take about 3.8 KiB, the narrow
+  // one's about 2.5 KiB): alternating selections thrash the LRU.
   db::Engine engine(&catalog_);
-  engine.EnableResultCache(8 * 1024);
+  engine.EnableResultCache(5 * 1024);
   db::Engine reference(&catalog_);
 
   const SeeDBRequest wide =

@@ -8,11 +8,13 @@
 
 #include <dirent.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <thread>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -404,6 +406,23 @@ TEST_F(DispatchTest, OverLimitPhasesIsRefusedAndTheServerKeepsAnswering) {
                   .GetBool("ok"));
 }
 
+// An integer literal past int64 range makes the SQL parser's std::stoll
+// throw std::out_of_range inside the `open` handler — a throw reachable
+// from the wire today. Tests of the catch in HandleLineOnConn use it; if
+// the parser learns to refuse such literals cleanly, find another throw.
+constexpr char kThrowingOpen[] =
+    "{\"op\":\"open\",\"id\":\"boom\",\"sql\":"
+    "\"SELECT * FROM sales WHERE amount > 99999999999999999999\"}";
+
+TEST_F(DispatchTest, ThrowingHandlerIsAnsweredInternalWithItsId) {
+  JsonValue failed = Call(kThrowingOpen);
+  EXPECT_FALSE(failed.GetBool("ok"));
+  EXPECT_EQ(failed.GetString("code"), "internal");
+  EXPECT_EQ(failed.GetString("id"), "boom");
+  EXPECT_EQ(Call("{\"op\":\"status\",\"id\":\"boom\"}").GetString("code"),
+            "not_found");
+}
+
 TEST_F(DispatchTest, SessionLifecycleAndIdsAfterFinish) {
   const std::string open =
       "{\"op\":\"open\",\"id\":\"s1\",\"sql\":"
@@ -539,6 +558,50 @@ TEST_F(WireTest, PipelinedAndSplitRequestsFrameCorrectly) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->GetString("type"), "status");
   EXPECT_EQ(r2->GetString("type"), "status");
+  ::close(fd);
+}
+
+// A handler that throws must not wedge its connection: the throwing `open`
+// is answered `internal`, and a `status` pipelined behind it on the same
+// connection is answered too.
+TEST_F(WireTest, ThrowingHandlerLeavesTheConnectionAnswering) {
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path_.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  timeval deadline{};
+  deadline.tv_sec = 10;  // a wedged strand answers nothing; fail, not hang
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline,
+                         sizeof(deadline)),
+            0);
+
+  const std::string lines =
+      std::string(kThrowingOpen) + "\n{\"op\":\"status\"}\n";
+  ASSERT_EQ(::send(fd, lines.data(), lines.size(), 0),
+            static_cast<ssize_t>(lines.size()));
+  std::string buffer;
+  char chunk[4096];
+  while (std::count(buffer.begin(), buffer.end(), '\n') < 2) {
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    ASSERT_GT(n, 0) << "no answer before the deadline; got: " << buffer;
+    buffer.append(chunk, static_cast<size_t>(n));
+  }
+  const size_t first_end = buffer.find('\n');
+  const size_t second_end = buffer.find('\n', first_end + 1);
+  auto failed = ParseJson(buffer.substr(0, first_end));
+  auto status =
+      ParseJson(buffer.substr(first_end + 1, second_end - first_end - 1));
+  ASSERT_TRUE(failed.ok());
+  ASSERT_TRUE(status.ok());
+  EXPECT_FALSE(failed->GetBool("ok"));
+  EXPECT_EQ(failed->GetString("code"), "internal");
+  EXPECT_EQ(failed->GetString("id"), "boom");
+  EXPECT_TRUE(status->GetBool("ok"));
+  EXPECT_EQ(status->GetString("type"), "status");
   ::close(fd);
 }
 
