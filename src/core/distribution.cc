@@ -18,8 +18,16 @@ std::string Distribution::ToString() const {
 }
 
 std::vector<double> NormalizeToProbabilities(const std::vector<double>& raw) {
-  std::vector<double> p = raw;
-  if (p.empty()) return p;
+  std::vector<double> p;
+  NormalizeToProbabilities(raw, &p);
+  return p;
+}
+
+void NormalizeToProbabilities(const std::vector<double>& raw,
+                              std::vector<double>* out) {
+  std::vector<double>& p = *out;
+  p.assign(raw.begin(), raw.end());
+  if (p.empty()) return;
   // Signed aggregates (e.g. SUM(profit)) normalize by magnitude: a group
   // with a large loss carries as much probability mass as one with an
   // equally large gain. (Shifting by -min instead would zero out the most
@@ -35,10 +43,9 @@ std::vector<double> NormalizeToProbabilities(const std::vector<double>& raw) {
   if (total <= 0.0 || !std::isfinite(total)) {
     double uniform = 1.0 / static_cast<double>(p.size());
     std::fill(p.begin(), p.end(), uniform);
-    return p;
+    return;
   }
   for (double& v : p) v /= total;
-  return p;
 }
 
 namespace {

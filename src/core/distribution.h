@@ -51,6 +51,10 @@ struct AlignedPair {
 /// Both rules are deterministic and shared by every metric.
 std::vector<double> NormalizeToProbabilities(const std::vector<double>& raw);
 
+/// The same, into `p`, whose capacity is reused.
+void NormalizeToProbabilities(const std::vector<double>& raw,
+                              std::vector<double>* p);
+
 /// Builds an aligned pair from two single-view result tables (group key in
 /// column 0, values in the given columns); keys missing from one side get
 /// raw value 0.

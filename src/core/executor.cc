@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "base/mutex.h"
+#include "obs/trace.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -102,7 +103,10 @@ PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
       pruner_(0, options_.online_pruning) {
   // Dense view index across the plan, plus the wiring from each view to the
   // (query, grouping set, aggregate) triples its halves read. A triple is
-  // retired from the scan once every view reading it has been pruned.
+  // retired from the scan once every view reading it has been pruned. A
+  // combined query's slot names both halves in one set; a split plan's
+  // target-only and comparison-only slots name one each.
+  std::unordered_map<ViewDescriptor, size_t, ViewDescriptorHash> view_index;
   for (size_t q = 0; q < plan_->queries.size(); ++q) {
     const db::GroupingSetsQuery& query = plan_->queries[q].query;
     std::unordered_map<std::string, size_t> agg_index;
@@ -111,23 +115,36 @@ PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
     }
     live_views_[q].assign(query.grouping_sets.size(),
                           std::vector<size_t>(query.aggregates.size(), 0));
+    const size_t first_pair = pairs_.size();
+    for (size_t s = 0; s < query.grouping_sets.size(); ++s) {
+      pairs_.emplace_back(q, s);
+    }
     for (const ViewSlot& slot : plan_->queries[q].slots) {
-      auto [it, inserted] = view_index_.emplace(slot.view, views_.size());
+      auto [it, inserted] = view_index.emplace(slot.view, views_.size());
       if (inserted) {
         views_.push_back(slot.view);
         aggs_of_view_.emplace_back();
+        halves_.emplace_back();
       }
       if (slot.result_index >= query.grouping_sets.size()) continue;
-      for (const std::string* column :
-           {&slot.target_column, &slot.comparison_column}) {
-        auto agg = agg_index.find(*column);
+      for (bool target : {true, false}) {
+        auto agg = agg_index.find(target ? slot.target_column
+                                         : slot.comparison_column);
         if (agg == agg_index.end()) continue;  // a half this query lacks
+        HalfRef& half = target ? halves_[it->second].target
+                               : halves_[it->second].comparison;
+        half.pair = first_pair + slot.result_index;
+        half.aggregate = agg->second;
+        half.func = query.aggregates[agg->second].func;
         aggs_of_view_[it->second].push_back(
             {q, slot.result_index, agg->second});
         ++live_views_[q][slot.result_index][agg->second];
       }
     }
   }
+  merged_.resize(pairs_.size());
+  merged_pass_.assign(pairs_.size(), 0);
+  utilities_.assign(views_.size(), 0.0);
   pruner_ = OnlinePruningState(views_.size(), options_.online_pruning);
   total_phases_ = std::max<size_t>(1, options_.online_pruning.num_phases);
 }
@@ -235,32 +252,93 @@ Status PhasedPlanExecution::Resume() {
   return Status::OK();
 }
 
+Result<const db::MergedSet*> PhasedPlanExecution::ReadPair(size_t p) {
+  if (merged_pass_[p] != scoring_pass_) {
+    SEEDB_ASSIGN_OR_RETURN(
+        merged_[p], session_.ReadSet(pairs_[p].first, pairs_[p].second));
+    merged_pass_[p] = scoring_pass_;
+  }
+  return &merged_[p];
+}
+
+// Bins exactly as AlignFromCombined / AlignFromTables build them from the
+// tables' rows in key order: std::map keys a run of groups whose keys
+// compare equal by its first group and keeps its last group's value, and a
+// split view's two sides merge on the union of keys (the comparison side's
+// key where both have one), an absent side reading 0. Then normalizes and
+// scores as ViewProcessor does.
+Result<double> PhasedPlanExecution::ScoreView(size_t v, bool with_keys,
+                                              AlignedPair* pair) {
+  const ViewHalves& h = halves_[v];
+  if (h.target.pair == SIZE_MAX || h.comparison.pair == SIZE_MAX) {
+    return Status::Internal("view '" + views_[v].Id() +
+                            "' is missing a target or comparison half");
+  }
+  SEEDB_ASSIGN_OR_RETURN(const db::MergedSet* t, ReadPair(h.target.pair));
+  SEEDB_ASSIGN_OR_RETURN(const db::MergedSet* c, ReadPair(h.comparison.pair));
+  const std::vector<int32_t>& t_order = *t->order;
+  const std::vector<int32_t>& c_order = *c->order;
+  const db::AggState* t_states = (*t->states)[h.target.aggregate];
+  const db::AggState* c_states = (*c->states)[h.comparison.aggregate];
+  const auto run_end = [](const db::MergedSet& m, size_t i) {
+    do {
+      ++i;
+    } while (i < m.order->size() && (*m.same_key)[i]);
+    return i;
+  };
+  pair->target_raw.clear();
+  pair->comparison_raw.clear();
+  pair->target.keys.clear();
+  size_t i = 0;  // next group of t_order
+  size_t k = 0;  // next group of c_order
+  while (i < t_order.size() || k < c_order.size()) {
+    // <0: the next key is the target side's alone, >0: the comparison
+    // side's alone, 0: both sides'. A combined view's sides share groups.
+    int cmp = 0;
+    if (h.target.pair != h.comparison.pair) {
+      if (i == t_order.size()) {
+        cmp = 1;
+      } else if (k == c_order.size()) {
+        cmp = -1;
+      } else {
+        cmp = db::CompareKeys(*t, t_order[i], *c, c_order[k]);
+      }
+    }
+    const size_t t_end = cmp <= 0 ? run_end(*t, i) : i;
+    const size_t c_end = cmp >= 0 ? run_end(*c, k) : k;
+    pair->target_raw.push_back(
+        cmp <= 0 ? t_states[t_order[t_end - 1]].Finalize(h.target.func)
+                 : 0.0);
+    pair->comparison_raw.push_back(
+        cmp >= 0 ? c_states[c_order[c_end - 1]].Finalize(h.comparison.func)
+                 : 0.0);
+    if (with_keys) {
+      pair->target.keys.push_back(cmp >= 0 ? c->KeyOf(c_order[k])
+                                           : t->KeyOf(t_order[i]));
+    }
+    i = t_end;
+    k = c_end;
+  }
+  if (with_keys) pair->comparison.keys = pair->target.keys;
+  NormalizeToProbabilities(pair->target_raw, &pair->target.probabilities);
+  NormalizeToProbabilities(pair->comparison_raw,
+                           &pair->comparison.probabilities);
+  return Distance(pair->target.probabilities, pair->comparison.probabilities,
+                  metric_);
+}
+
 // Scores every surviving view on its running (un-finalized) aggregates.
 // Early slices can leave a view with two empty halves (nothing matched
 // yet), which has no defined utility — callers skip that boundary rather
 // than act on undefined estimates; the next boundary sees more rows.
-Result<std::vector<ViewEstimate>> PhasedPlanExecution::EstimateSurvivors()
-    const {
-  const auto include_active = [this](const ViewDescriptor& v) {
-    auto it = view_index_.find(v);
-    return it != view_index_.end() && pruner_.IsActive(it->second);
-  };
-  ViewProcessor estimator(metric_);
-  for (size_t q = 0; q < plan_->queries.size(); ++q) {
-    if (!session_.query_active(q)) continue;
-    SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> partial,
-                           session_.PartialResults(q));
-    SEEDB_RETURN_IF_ERROR(
-        estimator.Consume(plan_->queries[q], std::move(partial),
-                          include_active));
+Status PhasedPlanExecution::EstimateSurvivors() {
+  ++scoring_pass_;
+  for (size_t v = 0; v < views_.size(); ++v) {
+    if (!pruner_.IsActive(v)) continue;
+    SEEDB_ASSIGN_OR_RETURN(utilities_[v],
+                           ScoreView(v, /*with_keys=*/false, &scratch_));
   }
-  SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> scored, estimator.Finish());
-  std::vector<ViewEstimate> estimates;
-  estimates.reserve(scored.size());
-  for (const ViewResult& vr : scored) {
-    estimates.push_back({vr.view, vr.utility});
-  }
-  return estimates;
+  return Status::OK();
 }
 
 // Drops pruned view `v`'s reads and retires every aggregate of the sets it
@@ -367,32 +445,35 @@ Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
 
   if ((want_prune || want_early_stop || collect_estimates) &&
       session_.rows_consumed() > 0) {
-    Result<std::vector<ViewEstimate>> estimates = EstimateSurvivors();
-    if (estimates.ok()) {
+    SEEDB_TRACE_SPAN_IF(boundary_span, "executor.boundary", 0,
+                        obs::TraceRecorder::ShouldTrace(options_.trace));
+    if (EstimateSurvivors().ok()) {
       if (want_prune) {
-        std::vector<double> utilities(views_.size(), 0.0);
-        for (const ViewEstimate& e : *estimates) {
-          utilities[view_index_.at(e.view)] = e.utility;
-        }
-        for (size_t v : pruner_.Observe(utilities)) {
-          online_pruned_.push_back({views_[v], utilities[v], snap.phase,
+        for (size_t v : pruner_.Observe(utilities_)) {
+          online_pruned_.push_back({views_[v], utilities_[v], snap.phase,
                                     session_.rows_consumed()});
           SEEDB_RETURN_IF_ERROR(RetireUnreadAggregates(v));
         }
-        // Drop the newly pruned views from the boundary estimates so the
-        // snapshot (and the early-stop policy) see survivors only.
-        std::erase_if(*estimates, [this](const ViewEstimate& e) {
-          return !pruner_.IsActive(view_index_.at(e.view));
-        });
+      }
+      // Survivors only: the views just pruned are out of the snapshot and
+      // of the early-stop policy.
+      std::vector<ViewEstimate> estimates;
+      if (want_early_stop || collect_estimates) {
+        estimates.reserve(pruner_.num_active());
+        for (size_t v = 0; v < views_.size(); ++v) {
+          if (pruner_.IsActive(v)) {
+            estimates.push_back({views_[v], utilities_[v]});
+          }
+        }
       }
       if (want_early_stop &&
-          EvaluateEarlyStop(*estimates, snap.ci_half_width)) {
+          EvaluateEarlyStop(estimates, snap.ci_half_width)) {
         early_stopped_ = true;
         snap.early_stopped = true;
       }
       if (collect_estimates) {
         snap.has_estimates = true;
-        snap.estimates = std::move(*estimates);
+        snap.estimates = std::move(estimates);
       }
     }
   }
@@ -412,19 +493,7 @@ Result<std::vector<ViewResult>> PhasedPlanExecution::Finish(
   }
   finished_ = true;
   Stopwatch finalize_timer;
-  const auto include_active = [this](const ViewDescriptor& v) {
-    auto it = view_index_.find(v);
-    return it != view_index_.end() && pruner_.IsActive(it->second);
-  };
-  ViewProcessor processor(metric_);
-  SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<db::Table>> all,
-                         session_.Finalize());
-  for (size_t q = 0; q < plan_->queries.size(); ++q) {
-    if (!session_.query_active(q)) continue;
-    SEEDB_RETURN_IF_ERROR(
-        processor.Consume(plan_->queries[q], std::move(all[q]),
-                          include_active));
-  }
+  SEEDB_RETURN_IF_ERROR(session_.Close());
   if (report) {
     report->phase_seconds = phase_seconds_;
     report->phases_executed = phases_run();
@@ -445,8 +514,22 @@ Result<std::vector<ViewResult>> PhasedPlanExecution::Finish(
   // instead of failing. Fully scanned runs keep the strict check.
   const bool partial =
       cancelled_ || session_.rows_consumed() < session_.num_rows();
-  SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> results,
-                         processor.Finish(/*allow_partial=*/partial));
+  ++scoring_pass_;
+  std::vector<ViewResult> results;
+  results.reserve(pruner_.num_active());
+  for (size_t v = 0; v < views_.size(); ++v) {
+    if (!pruner_.IsActive(v)) continue;
+    ViewResult vr;
+    vr.view = views_[v];
+    Result<double> utility =
+        ScoreView(v, /*with_keys=*/true, &vr.distributions);
+    if (!utility.ok()) {
+      if (partial) continue;
+      return utility.status();
+    }
+    vr.utility = *utility;
+    results.push_back(std::move(vr));
+  }
   // Publish warm-start priors: only a full, un-cancelled scan's utilities
   // are exact, and their evidence weight is the phases that produced them.
   if (prior_cache_ != nullptr && !partial) {

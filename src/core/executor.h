@@ -18,18 +18,26 @@
 // aggregates and lets an online pruner (core/online_pruning.h) retire views
 // that provably — or probably, depending on the strategy — cannot make the
 // top k. Each (query, grouping set, aggregate) triple no surviving view
-// reads is then retired from the scan, so the remaining phases accumulate,
-// merge and materialize only what live views still need — even when the
-// optimizer fused every view into one query. With one phase there is no
-// boundary: the plan is ONE pass over the table (the wire and CLI name for
-// that is "shared-scan").
+// reads is then retired from the scan, so the remaining phases accumulate
+// and merge only what live views still need — even when the optimizer fused
+// every view into one query. With one phase there is no boundary: the plan
+// is ONE pass over the table (the wire and CLI name for that is
+// "shared-scan").
+//
+// The fused strategy builds no tables. Boundary estimates and final results
+// alike are scored straight from the scan's merged aggregate state
+// (db::SharedScanSession::ReadSet): each view's groups in key order,
+// AggState::Finalize per group, then NormalizeToProbabilities and Distance —
+// the steps, in the order, ViewProcessor takes over materialized tables, so
+// the two agree bit for bit.
 
 #ifndef SEEDB_CORE_EXECUTOR_H_
 #define SEEDB_CORE_EXECUTOR_H_
 
 #include <atomic>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -244,10 +252,10 @@ class PhasedPlanExecution {
   /// bytes — what a per-session memory budget meters.
   size_t agg_state_bytes() const;
 
-  /// Terminal: finalizes the scan (feeding the registry totals), consumes
-  /// every surviving view and scores it with the run's metric. After early
-  /// stop or cancellation the utilities are estimates over the rows
-  /// consumed.
+  /// Terminal: closes the scan (offering its state to the result cache and
+  /// feeding the registry totals) and scores every surviving view from the
+  /// merged state with the run's metric. After early stop or cancellation
+  /// the utilities are estimates over the rows consumed.
   /// `report` (optional) receives the full latency/pruning breakdown.
   Result<std::vector<ViewResult>> Finish(ExecutionReport* report = nullptr);
 
@@ -268,7 +276,14 @@ class PhasedPlanExecution {
   /// utilities back. Called by Begin() when the engine cache is enabled.
   void SeedUtilityPriors(db::PartialAggCache* cache, uint64_t table_version);
 
-  Result<std::vector<ViewEstimate>> EstimateSurvivors() const;
+  /// The surviving views' utilities over the rows seen so far, into
+  /// utilities_; the first failing view's error otherwise.
+  Status EstimateSurvivors();
+  /// Scores view v from the merged state, laying its bins out in `pair`
+  /// (boxing the keys only when `with_keys`).
+  Result<double> ScoreView(size_t v, bool with_keys, AlignedPair* pair);
+  /// The merged state of (query, set) pair p as of the current scoring pass.
+  Result<const db::MergedSet*> ReadPair(size_t p);
   Status RetireUnreadAggregates(size_t v);
   bool EvaluateEarlyStop(const std::vector<ViewEstimate>& estimates,
                          double eps);
@@ -284,15 +299,38 @@ class PhasedPlanExecution {
     size_t set;
     size_t aggregate;
   };
+  /// One half of a view: the aggregate it reads, its function, and the
+  /// (query, grouping set) pair holding it as an index into pairs_.
+  struct HalfRef {
+    size_t pair = SIZE_MAX;
+    size_t aggregate = 0;
+    db::AggregateFunction func = db::AggregateFunction::kCount;
+  };
+  struct ViewHalves {
+    HalfRef target;
+    HalfRef comparison;
+  };
   /// Dense view index across the plan plus the wiring from each view to the
   /// aggregates its target and comparison halves read, resolved once from
   /// the ViewSlots' result_index and column names.
   std::vector<ViewDescriptor> views_;
-  std::unordered_map<ViewDescriptor, size_t, ViewDescriptorHash> view_index_;
   std::vector<std::vector<AggRef>> aggs_of_view_;
+  std::vector<ViewHalves> halves_;
+  /// (query, grouping set) of each pair index, in plan order.
+  std::vector<std::pair<size_t, size_t>> pairs_;
   /// live_views_[q][s][j]: live views reading aggregate j of set s of
   /// query q. The scan retires the triple when it drops to 0.
   std::vector<std::vector<std::vector<size_t>>> live_views_;
+
+  /// Each pair's merged state as last read, and the scoring pass it was
+  /// read in: a pass reads each pair once, however many views it holds.
+  std::vector<db::MergedSet> merged_;
+  std::vector<size_t> merged_pass_;
+  size_t scoring_pass_ = 0;
+  /// Boundary buffers, reused across views and boundaries: the last view's
+  /// bins, and every view's utility at the last boundary.
+  AlignedPair scratch_;
+  std::vector<double> utilities_;
 
   OnlinePruningState pruner_;
   size_t total_phases_ = 1;

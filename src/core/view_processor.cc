@@ -4,12 +4,6 @@ namespace seedb::core {
 
 Status ViewProcessor::Consume(const PlannedQuery& planned,
                               std::vector<db::Table> result_sets) {
-  return Consume(planned, std::move(result_sets), ViewFilter());
-}
-
-Status ViewProcessor::Consume(const PlannedQuery& planned,
-                              std::vector<db::Table> result_sets,
-                              const ViewFilter& include) {
   if (result_sets.size() != planned.query.grouping_sets.size()) {
     return Status::Internal("result set count does not match grouping sets");
   }
@@ -22,7 +16,6 @@ Status ViewProcessor::Consume(const PlannedQuery& planned,
   }
 
   for (const ViewSlot& slot : planned.slots) {
-    if (include && !include(slot.view)) continue;
     if (slot.result_index >= tables.size()) {
       return Status::Internal("slot result index out of range");
     }

@@ -5,15 +5,14 @@
 // streaming fashion to produce results for individual views. Individual view
 // results are then normalized and the utility of each view is computed."
 //
-// The same machinery scores *partial* results: the phased executor feeds each
-// phase's un-finalized running aggregates through a throwaway ViewProcessor
-// to get mid-flight utility estimates for online pruning, with a view filter
-// so retired views drop out of consumption.
+// It serves the per-query strategy, whose queries return tables. The fused
+// (phased) executor builds no tables: it scores views straight from the
+// scan's merged aggregate state (core/executor.h), in the same steps and
+// order as here, and the tests hold the two to bit-identical results.
 
 #ifndef SEEDB_CORE_VIEW_PROCESSOR_H_
 #define SEEDB_CORE_VIEW_PROCESSOR_H_
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -42,24 +41,12 @@ struct ViewResult {
 /// parallel serialize consumption (the executor does).
 class ViewProcessor {
  public:
-  /// Decides which of a planned query's view slots to ingest; views it
-  /// rejects are skipped entirely (the phased executor passes the online
-  /// pruner's survivor set).
-  using ViewFilter = std::function<bool(const ViewDescriptor&)>;
-
   explicit ViewProcessor(DistanceMetric metric) : metric_(metric) {}
 
   /// Ingests the result sets of one executed planned query (takes
   /// ownership of the tables).
   Status Consume(const PlannedQuery& planned,
                  std::vector<db::Table> result_sets);
-
-  /// Same, but only slots whose view passes `include` are ingested. The
-  /// tables are retained either way (a result set can carry both included
-  /// and excluded views).
-  Status Consume(const PlannedQuery& planned,
-                 std::vector<db::Table> result_sets,
-                 const ViewFilter& include);
 
   /// Completes processing; fails if any view is missing a half. With
   /// `allow_partial`, views missing a half are silently dropped instead —

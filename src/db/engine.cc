@@ -74,15 +74,19 @@ Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query,
   return results;
 }
 
-Result<std::vector<std::vector<Table>>> SharedScanSession::Finalize() {
+Status SharedScanSession::Close() {
   if (finalized_) {
     return Status::Internal("shared-scan session already finalized");
   }
-  SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<Table>> results,
-                         state_.FinalResults());
+  state_.Close();
   finalized_ = true;
   engine_->RecordSharedBatch(state_.queries(), state_.stats());
-  return results;
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<Table>>> SharedScanSession::Finalize() {
+  SEEDB_RETURN_IF_ERROR(Close());
+  return state_.FinalResults();
 }
 
 void Engine::RecordSharedBatch(const std::vector<GroupingSetsQuery>& queries,

@@ -29,14 +29,15 @@ namespace seedb::db {
 class Engine;
 
 /// \brief A fused scan advancing through the table in caller-controlled
-/// phases, with the engine's registry totals fed at Finalize().
+/// phases, with the engine's registry totals fed when it closes.
 ///
 /// Created by Engine::BeginShared. The phased executor drives it: run a
-/// phase, inspect un-finalized per-query partials, retire the (query,
-/// grouping set, aggregate) triples no surviving view reads, repeat. However
-/// many phases the session runs, the whole batch still records exactly ONE
-/// table scan — phases partition one pass, they do not repeat it. A session
-/// abandoned without Finalize() counts no query and no table scan.
+/// phase, read each (query, grouping set)'s merged aggregate state in place
+/// (ReadSet), retire the (query, grouping set, aggregate) triples no
+/// surviving view reads, repeat, then Close(). However many phases the
+/// session runs, the whole batch still records exactly ONE table scan —
+/// phases partition one pass, they do not repeat it. A session abandoned
+/// without Close() or Finalize() counts no query and no table scan.
 class SharedScanSession {
  public:
   SharedScanSession(SharedScanSession&&) noexcept = default;
@@ -74,16 +75,21 @@ class SharedScanSession {
   /// Retires every aggregate of query `q`: later phases stop scanning it.
   Status DeactivateQuery(size_t q) { return state_.DeactivateQuery(q); }
 
-  /// Query q's current partial results (un-finalized running aggregates);
-  /// sets with no live aggregate are empty placeholders.
-  Result<std::vector<Table>> PartialResults(size_t q) const {
-    return state_.PartialResults(q);
+  /// (Query q, grouping set `set`)'s merged state over the rows seen so
+  /// far, read in place. See db::SharedScanState::ReadSet.
+  Result<MergedSet> ReadSet(size_t q, size_t set) {
+    return state_.ReadSet(q, set);
   }
 
-  /// Terminal call: materializes every surviving query's results (retired
-  /// queries yield an empty vector, retired sets an empty placeholder
-  /// table) and records the whole session in the registry totals —
-  /// engine.queries += batch size, engine.table_scans += 1.
+  /// Terminal call that builds no table: offers the fully scanned pairs to
+  /// the result cache (db::SharedScanState::Close) and records the whole
+  /// session in the registry totals — engine.queries += batch size,
+  /// engine.table_scans += 1. The merged state stays readable.
+  Status Close();
+
+  /// Terminal call: Close(), then materializes every surviving query's
+  /// results (retired queries yield an empty vector, retired sets an empty
+  /// placeholder table).
   Result<std::vector<std::vector<Table>>> Finalize();
 
   /// The per-run record of this scan's work.

@@ -96,7 +96,6 @@ Result<GroupKeyBuilder> GroupKeyBuilder::Create(
     const Table& table, const std::vector<std::string>& columns,
     const std::vector<uint8_t>& mask) {
   GroupKeyBuilder b;
-  b.table_ = &table;
   for (const auto& name : columns) {
     SEEDB_ASSIGN_OR_RETURN(size_t idx, table.schema().FindColumn(name));
     b.col_indices_.push_back(idx);
@@ -153,54 +152,83 @@ Result<GroupKeyBuilder> GroupKeyBuilder::Create(
   return b;
 }
 
-std::vector<Value> GroupKeyBuilder::GroupKey(int32_t gid) const {
-  std::vector<Value> key;
-  key.reserve(col_indices_.size());
-  uint32_t row = representative_row_[gid];
-  for (size_t idx : col_indices_) {
-    key.push_back(table_->column(idx).GetValue(row));
+int CompareCells(const Column& col, uint32_t a, uint32_t b) {
+  const bool null_a = col.IsNull(a);
+  const bool null_b = col.IsNull(b);
+  if (null_a || null_b) return static_cast<int>(null_b) - null_a;
+  const auto three_way = [](const auto& x, const auto& y) {
+    return x < y ? -1 : (y < x ? 1 : 0);
+  };
+  switch (col.type()) {
+    case ValueType::kInt64:
+      return three_way(col.int64_data()[a], col.int64_data()[b]);
+    case ValueType::kDouble:
+      return three_way(col.double_data()[a], col.double_data()[b]);
+    case ValueType::kString: {
+      const int32_t code_a = col.codes()[a];
+      const int32_t code_b = col.codes()[b];
+      if (code_a == code_b) return 0;
+      return three_way(col.dict_value(code_a), col.dict_value(code_b));
+    }
+    case ValueType::kNull:
+      return 0;
   }
-  return key;
+  return 0;
+}
+
+void SortGroupsByKey(const Table& table, const std::vector<size_t>& cols,
+                     const std::vector<uint32_t>& rep_rows,
+                     std::vector<int32_t>* order) {
+  order->resize(rep_rows.size());
+  std::iota(order->begin(), order->end(), 0);
+  std::sort(order->begin(), order->end(), [&](int32_t a, int32_t b) {
+    for (size_t idx : cols) {
+      const int c = CompareCells(table.column(idx), rep_rows[a], rep_rows[b]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
 }
 
 Result<Table> MaterializeGroupedResult(
     const Table& table, const std::vector<std::string>& group_cols,
     const std::vector<AggregateSpec>& aggregates,
-    std::vector<std::vector<Value>> keys,
+    const std::vector<uint32_t>& rep_rows,
     const std::vector<std::vector<AggState>>& states) {
   std::vector<const AggState*> per_agg;
   per_agg.reserve(states.size());
   for (const auto& s : states) per_agg.push_back(s.data());
-  return MaterializeGroupedResult(table, group_cols, aggregates,
-                                  std::move(keys), per_agg);
+  return MaterializeGroupedResult(table, group_cols, aggregates, rep_rows,
+                                  per_agg);
 }
 
 Result<Table> MaterializeGroupedResult(
     const Table& table, const std::vector<std::string>& group_cols,
     const std::vector<AggregateSpec>& aggregates,
-    std::vector<std::vector<Value>> keys,
+    const std::vector<uint32_t>& rep_rows,
     const std::vector<const AggState*>& states) {
   Schema out_schema;
+  std::vector<size_t> cols;
   for (const auto& g : group_cols) {
     SEEDB_ASSIGN_OR_RETURN(size_t idx, table.schema().FindColumn(g));
     SEEDB_RETURN_IF_ERROR(out_schema.AddColumn(table.schema().column(idx)));
+    cols.push_back(idx);
   }
   for (const auto& agg : aggregates) {
     SEEDB_RETURN_IF_ERROR(out_schema.AddColumn(ColumnDef(
         agg.EffectiveName(), ValueType::kDouble, ColumnRole::kMeasure)));
   }
 
-  int32_t num_groups = static_cast<int32_t>(keys.size());
-  std::vector<int32_t> order(num_groups);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return std::lexicographical_compare(keys[a].begin(), keys[a].end(),
-                                        keys[b].begin(), keys[b].end());
-  });
+  std::vector<int32_t> order;
+  SortGroupsByKey(table, cols, rep_rows, &order);
 
   Table out(out_schema);
   for (int32_t g : order) {
-    std::vector<Value> row = std::move(keys[g]);
+    std::vector<Value> row;
+    row.reserve(cols.size() + aggregates.size());
+    for (size_t idx : cols) {
+      row.push_back(table.column(idx).GetValue(rep_rows[g]));
+    }
     for (size_t j = 0; j < aggregates.size(); ++j) {
       row.emplace_back(states[j][g].Finalize(aggregates[j].func));
     }
@@ -273,12 +301,9 @@ Result<Table> MaterializeResult(const Table& table,
                                 const GroupByQuery& query,
                                 const GroupKeyBuilder& builder,
                                 const std::vector<std::vector<AggState>>& states) {
-  std::vector<std::vector<Value>> keys(builder.num_groups());
-  for (int32_t g = 0; g < builder.num_groups(); ++g) {
-    keys[g] = builder.GroupKey(g);
-  }
   return internal::MaterializeGroupedResult(table, query.group_by,
-                                            query.aggregates, std::move(keys),
+                                            query.aggregates,
+                                            builder.representative_rows(),
                                             states);
 }
 

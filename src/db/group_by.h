@@ -83,7 +83,8 @@ struct PackedKeyHash {
 /// \brief Assigns a dense group id to every row selected by a mask.
 ///
 /// Rows with mask 0 get id -1. Groups are created lazily in first-seen order;
-/// GroupKey() recovers the boxed key values for output materialization.
+/// representative_rows() names one row of each group, where output
+/// materialization reads the group's key.
 /// Two layouts: a dense array keyed by dictionary code for the common
 /// single-string-dimension case, and a hash map over packed key tuples for
 /// everything else.
@@ -95,13 +96,14 @@ class GroupKeyBuilder {
 
   int32_t num_groups() const { return num_groups_; }
   const std::vector<int32_t>& row_group_ids() const { return row_group_ids_; }
-  /// Boxed key for group `gid`, one Value per grouping column.
-  std::vector<Value> GroupKey(int32_t gid) const;
+  /// One row of each group, indexed by group id.
+  const std::vector<uint32_t>& representative_rows() const {
+    return representative_row_;
+  }
 
  private:
   GroupKeyBuilder() = default;
 
-  const Table* table_ = nullptr;
   std::vector<size_t> col_indices_;
   int32_t num_groups_ = 0;
   std::vector<int32_t> row_group_ids_;
@@ -113,17 +115,32 @@ class GroupKeyBuilder {
 std::vector<uint8_t> BernoulliScanMask(size_t num_rows, double fraction,
                                        uint64_t seed);
 
+/// Three-way comparison of rows `a` and `b` of `col` under db::Value's
+/// order (null first, numerics by value, strings lexicographically), read in
+/// place: the outcome of comparing col.GetValue(a) with col.GetValue(b),
+/// without boxing. Returns -1, 0 or 1.
+int CompareCells(const Column& col, uint32_t a, uint32_t b);
+
+/// The one group-key order of every grouped output: group ids [0, n) sorted
+/// lexicographically by the columns `cols` of `table` at each group's
+/// representative row `rep_rows[g]` (CompareCells per column). Tables list
+/// their rows in this order, and the fused scan's in-place reads
+/// (SharedScanState::ReadSet) share it.
+void SortGroupsByKey(const Table& table, const std::vector<size_t>& cols,
+                     const std::vector<uint32_t>& rep_rows,
+                     std::vector<int32_t>* order);
+
 /// Materializes the grouped-aggregation output shape every executor shares
 /// (ExecuteGroupBy, ExecuteGroupingSets, ExecuteSharedScan): group columns
 /// with their original defs, then one DOUBLE column per aggregate, one row
-/// per group sorted lexicographically by boxed key. `keys[g]` is group g's
-/// boxed key (one Value per grouping column); `states[j][g]` its accumulator
-/// for aggregate j. Keeping this in one place is what keeps the fused and
-/// per-query paths byte-identical.
+/// per group in SortGroupsByKey order. `rep_rows[g]` is a row of group g,
+/// where its key is read; `states[j][g]` its accumulator for aggregate j.
+/// Keeping this in one place is what keeps the fused and per-query paths
+/// byte-identical.
 Result<Table> MaterializeGroupedResult(
     const Table& table, const std::vector<std::string>& group_cols,
     const std::vector<AggregateSpec>& aggregates,
-    std::vector<std::vector<Value>> keys,
+    const std::vector<uint32_t>& rep_rows,
     const std::vector<std::vector<AggState>>& states);
 
 /// The same, reading aggregate j's accumulators from `states[j][g]` through
@@ -132,7 +149,7 @@ Result<Table> MaterializeGroupedResult(
 Result<Table> MaterializeGroupedResult(
     const Table& table, const std::vector<std::string>& group_cols,
     const std::vector<AggregateSpec>& aggregates,
-    std::vector<std::vector<Value>> keys,
+    const std::vector<uint32_t>& rep_rows,
     const std::vector<const AggState*>& states);
 
 /// Validates the pieces shared by GroupBy and GroupingSets queries.

@@ -138,13 +138,10 @@ Result<std::vector<Table>> ExecuteGroupingSets(const Table& table,
   for (size_t s = 0; s < builders.size(); ++s) {
     int32_t num_groups = builders[s].num_groups();
     total_groups += static_cast<size_t>(num_groups);
-    std::vector<std::vector<Value>> keys(num_groups);
-    for (int32_t g = 0; g < num_groups; ++g) keys[g] = builders[s].GroupKey(g);
     SEEDB_ASSIGN_OR_RETURN(
-        Table out,
-        internal::MaterializeGroupedResult(table, query.grouping_sets[s],
-                                           query.aggregates, std::move(keys),
-                                           states[s]));
+        Table out, internal::MaterializeGroupedResult(
+                       table, query.grouping_sets[s], query.aggregates,
+                       builders[s].representative_rows(), states[s]));
     results.push_back(std::move(out));
   }
 

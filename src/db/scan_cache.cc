@@ -1,6 +1,7 @@
 #include "db/scan_cache.h"
 
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,6 +14,10 @@ namespace {
 /// rather than tracked by a second LRU (a cold prior merely costs one
 /// conservative warmup, so losing them is cheap).
 constexpr size_t kMaxPriors = 1 << 16;
+
+uint64_t KeyFingerprint(const std::string& key) {
+  return std::hash<std::string>{}(key);
+}
 
 std::string DoubleBitsKey(double d) {
   if (d == 0.0) d = 0.0;  // collapse -0.0 onto +0.0 (they select equal rows)
@@ -105,6 +110,12 @@ std::shared_ptr<const CachedPartialAgg> PartialAggCache::Lookup(
   if (it == map_.end()) {
     ++misses_;
     obs_misses->Add();
+    const uint64_t fingerprint = KeyFingerprint(key);
+    if (ghosts_.size() >= kMaxGhosts && !ghosts_.count(fingerprint)) {
+      ghosts_.clear();
+    }
+    uint8_t& seen = ghosts_[fingerprint];
+    if (seen < 2) ++seen;
     return nullptr;
   }
   ++hits_;
@@ -125,6 +136,14 @@ void PartialAggCache::Insert(const std::string& key, CachedPartialAgg entry) {
   if (bytes > budget_) return;  // would evict the whole cache for one entry
   auto value = std::make_shared<const CachedPartialAgg>(std::move(entry));
   base::MutexLock lock(&mu_);
+  auto ghost = ghosts_.find(KeyFingerprint(key));
+  if (ghost == ghosts_.end() || ghost->second < 2) {
+    ++not_admitted_;
+    static obs::Counter* obs_not_admitted =
+        obs::Registry::Global().GetCounter("engine.cache.not_admitted");
+    obs_not_admitted->Add();
+    return;
+  }
   auto it = map_.find(key);
   if (it != map_.end()) {
     bytes_ -= it->second.value->bytes;
@@ -174,9 +193,11 @@ ScanCacheStats PartialAggCache::stats() const {
   s.hits = hits_;
   s.misses = misses_;
   s.insertions = insertions_;
+  s.not_admitted = not_admitted_;
   s.evictions = evictions_;
   s.entries = map_.size();
   s.bytes = bytes_;
+  s.ghosts = ghosts_.size();
   return s;
 }
 

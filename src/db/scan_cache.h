@@ -19,6 +19,13 @@
 // load/replace bumps the version and orphans every entry derived from the
 // old contents (the LRU reclaims them).
 //
+// An entry is admitted on its key's second sight: the cache remembers the
+// fingerprints of keys that missed (a bounded ghost set, TinyLFU's
+// "doorkeeper" — Einziger, Friedman and Manes, ACM TOS 2017) and refuses a
+// publish whose key has missed only once. Traffic that never repeats a key
+// then publishes nothing, instead of filling the budget with entries no
+// session will hit; a repeating key loses its first hit.
+//
 // The cache also carries utility priors: final view utilities published at
 // the end of a full run, used to warm-start online pruning (tighter initial
 // Hoeffding intervals -> earlier retirement) in later sessions.
@@ -96,18 +103,29 @@ struct ScanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
+  /// Inserts refused because their key had not yet missed twice.
+  uint64_t not_admitted = 0;
   uint64_t evictions = 0;
   size_t entries = 0;
   size_t bytes = 0;
+  /// Missed-key fingerprints the admission doorkeeper holds; at most
+  /// PartialAggCache::kMaxGhosts.
+  size_t ghosts = 0;
 };
 
 /// \brief Thread-safe LRU cache of partial-aggregate states, server-wide.
 ///
 /// Values are shared_ptrs so an adoption holds its entry alive even if the
 /// LRU evicts it concurrently. An entry larger than the whole budget is
-/// refused outright instead of evicting everything else first.
+/// refused outright instead of evicting everything else first, and so is
+/// one whose key has not missed twice yet (admission on second sight).
 class PartialAggCache {
  public:
+  /// Missed-key fingerprints the doorkeeper remembers (~40 bytes each)
+  /// before it forgets them all at once, as the priors map does. A key must
+  /// miss twice within one such window to be admitted.
+  static constexpr size_t kMaxGhosts = 1 << 16;
+
   explicit PartialAggCache(size_t budget_bytes) : budget_(budget_bytes) {}
 
   PartialAggCache(const PartialAggCache&) = delete;
@@ -115,11 +133,16 @@ class PartialAggCache {
 
   /// Returns the entry and freshens its LRU position, or nullptr on miss.
   /// Counts one hit or miss, in stats() and in the registry's
-  /// engine.cache.{hits,misses}.
+  /// engine.cache.{hits,misses}; a miss also counts toward the key's
+  /// admission.
   std::shared_ptr<const CachedPartialAgg> Lookup(const std::string& key);
 
-  /// Inserts (or replaces) `key`, then evicts least-recently-used entries
-  /// until the footprint fits the budget again.
+  /// Inserts (or replaces) `key` once Lookup() has missed it twice, then
+  /// evicts least-recently-used entries until the footprint fits the budget
+  /// again. Before the second miss the entry is refused and counted in
+  /// stats().not_admitted and engine.cache.not_admitted. Fingerprints of
+  /// missed keys are 64-bit hashes, so a collision may admit an entry early;
+  /// that is harmless, because adoption matches the full key.
   void Insert(const std::string& key, CachedPartialAgg entry);
 
   /// Publishes the final utility of a fully-scanned view so later sessions
@@ -150,10 +173,14 @@ class PartialAggCache {
   /// by wholesale clear at kMaxPriors.
   std::unordered_map<std::string, std::pair<double, uint64_t>> priors_
       GUARDED_BY(mu_);
+  /// The doorkeeper: misses seen per key fingerprint, saturating at 2.
+  /// Cleared wholesale when a new fingerprint would pass kMaxGhosts.
+  std::unordered_map<uint64_t, uint8_t> ghosts_ GUARDED_BY(mu_);
   size_t bytes_ GUARDED_BY(mu_) = 0;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t insertions_ GUARDED_BY(mu_) = 0;
+  uint64_t not_admitted_ GUARDED_BY(mu_) = 0;
   uint64_t evictions_ GUARDED_BY(mu_) = 0;
 };
 

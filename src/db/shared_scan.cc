@@ -594,6 +594,12 @@ struct GlobalGroups {
   /// moves, and only if it is still live: when every aggregate of an
   /// accumulator retires at one boundary, no copy is made.
   std::vector<uint32_t> freeze_pending;
+  /// What ReadSet hands out: the key order of the first order.size()
+  /// groups (sorted again only once groups were added), and each
+  /// aggregate's state array as of the last read.
+  std::vector<int32_t> order;
+  std::vector<uint8_t> same_key;
+  std::vector<const AggState*> agg_states;
 
   // A new group starts empty for every accumulator and every frozen
   // aggregate: a retired aggregate reads an empty state for the groups
@@ -662,29 +668,19 @@ Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
                              const SetSpec& set, const GlobalGroups& global) {
   // A global aggregate (empty grouping set) always has its one group, even
   // when no row passes the mask — matching GroupKeyBuilder, which creates
-  // group 0 unconditionally.
+  // group 0 unconditionally (it has no key column to read at row 0).
   if (set.cols.empty() && global.rep_row.empty()) {
-    std::vector<std::vector<Value>> keys(1);
     const AggState empty;
     std::vector<const AggState*> states(query.aggregates.size(), &empty);
     return internal::MaterializeGroupedResult(
-        table, query.grouping_sets[set_index], query.aggregates,
-        std::move(keys), states);
-  }
-  int32_t num_groups = static_cast<int32_t>(global.rep_row.size());
-  std::vector<std::vector<Value>> keys(num_groups);
-  for (int32_t g = 0; g < num_groups; ++g) {
-    keys[g].reserve(set.col_indices.size());
-    for (size_t idx : set.col_indices) {
-      keys[g].push_back(table.column(idx).GetValue(global.rep_row[g]));
-    }
+        table, query.grouping_sets[set_index], query.aggregates, {0}, states);
   }
   std::vector<const AggState*> states(query.aggregates.size());
   for (size_t j = 0; j < states.size(); ++j) {
     states[j] = global.StatesOf(spec, j);
   }
   return internal::MaterializeGroupedResult(
-      table, query.grouping_sets[set_index], query.aggregates, std::move(keys),
+      table, query.grouping_sets[set_index], query.aggregates, global.rep_row,
       states);
 }
 
@@ -776,6 +772,16 @@ Status ValidateQuery(const Table& table, const GroupingSetsQuery& query) {
 }
 
 }  // namespace
+
+Value MergedSet::KeyOf(int32_t g) const {
+  return key_column->GetValue((*rep_row)[g]);
+}
+
+int CompareKeys(const MergedSet& a, int32_t g, const MergedSet& b,
+                int32_t h) {
+  return internal::CompareCells(*a.key_column, (*a.rep_row)[g],
+                                (*b.rep_row)[h]);
+}
 
 size_t AdaptiveMorselRows(size_t num_rows, size_t num_threads) {
   // ~4 morsels per worker keeps the shared counter load-balancing without
@@ -1434,9 +1440,46 @@ class SharedScanState::Impl {
     return results;
   }
 
-  Result<std::vector<std::vector<Table>>> FinalResults() {
+  // The key order is cached per pair: groups are only ever added, so an
+  // order over as many groups as the set holds is still the order.
+  Result<MergedSet> ReadSet(size_t q, size_t s) {
+    if (q >= queries_.size() || s >= specs_[q].sets.size()) {
+      return Status::InvalidArgument("grouping set index out of range");
+    }
+    const SetSpec& set = specs_[q].sets[s];
+    GlobalGroups& global = globals_[q][s];
+    if (global.order.size() != global.rep_row.size()) {
+      internal::SortGroupsByKey(table_, set.col_indices, global.rep_row,
+                                &global.order);
+      global.same_key.assign(global.order.size(), 0);
+      for (size_t i = 1; i < global.order.size() && !set.cols.empty(); ++i) {
+        global.same_key[i] =
+            internal::CompareCells(*set.cols[0],
+                                   global.rep_row[global.order[i - 1]],
+                                   global.rep_row[global.order[i]]) == 0;
+      }
+    }
+    global.agg_states.resize(specs_[q].acc_of.size());
+    for (size_t j = 0; j < global.agg_states.size(); ++j) {
+      global.agg_states[j] = global.StatesOf(specs_[q], j);
+    }
+    MergedSet merged;
+    merged.order = &global.order;
+    merged.same_key = &global.same_key;
+    merged.states = &global.agg_states;
+    merged.key_column = set.cols.empty() ? nullptr : set.cols[0];
+    merged.rep_row = &global.rep_row;
+    return merged;
+  }
+
+  void Close() {
+    if (finalized_) return;
     finalized_ = true;
     PublishToCache();
+  }
+
+  Result<std::vector<std::vector<Table>>> FinalResults() {
+    Close();
     std::vector<std::vector<Table>> results(queries_.size());
     for (size_t q = 0; q < queries_.size(); ++q) {
       if (!query_active(q)) continue;  // retired queries yield no tables
@@ -1451,7 +1494,8 @@ class SharedScanState::Impl {
   // throughout (a retired aggregate's state stops at its retirement phase
   // and must never be adopted as final; retirement is permanent, so a full
   // live list now means full for the whole scan). Adopted pairs are
-  // skipped: they are already cached.
+  // skipped: they are already cached. The cache admits a pair on its key's
+  // second miss (PartialAggCache::Insert).
   void PublishToCache() {
     if (cache_ == nullptr || cancelled_ ||
         rows_consumed_ != table_.num_rows()) {
@@ -1617,9 +1661,15 @@ Status SharedScanState::RetireAggregate(size_t q, size_t set,
   return impl_->RetireAggregate(q, set, aggregate);
 }
 
+Result<MergedSet> SharedScanState::ReadSet(size_t q, size_t set) {
+  return impl_->ReadSet(q, set);
+}
+
 Result<std::vector<Table>> SharedScanState::PartialResults(size_t q) const {
   return impl_->PartialResults(q);
 }
+
+void SharedScanState::Close() { impl_->Close(); }
 
 Result<std::vector<std::vector<Table>>> SharedScanState::FinalResults() {
   return impl_->FinalResults();

@@ -30,13 +30,15 @@
 //   * SharedScanState   — the same machinery made *resumable*: RunPhase()
 //     scans one row-range slice and folds it into persistent merged state,
 //     so a plan executes as N sequential phases. Between phases the caller
-//     can read un-finalized per-query partials (PartialResults) and retire
-//     the (query, grouping set, aggregate) triples no surviving view reads
-//     any more (RetireAggregate; DeactivateQuery retires a whole query) —
-//     the substrate for the paper's §3.3 confidence-interval /
-//     multi-armed-bandit pruning (core/online_pruning.h). A grouping set
-//     whose every aggregate is retired drops out of the scan entirely: no
-//     group ids, no accumulation, no merge, no materialization.
+//     can read each (query, grouping set)'s merged aggregate state in place
+//     (ReadSet: group ids in key order plus every aggregate's AggState
+//     array — no table is built) and retire the (query, grouping set,
+//     aggregate) triples no surviving view reads any more (RetireAggregate;
+//     DeactivateQuery retires a whole query) — the substrate for the paper's
+//     §3.3 confidence-interval / multi-armed-bandit pruning
+//     (core/online_pruning.h). A grouping set whose every aggregate is
+//     retired drops out of the scan entirely: no group ids, no accumulation,
+//     no merge, no materialization.
 //
 // Result shape and values are identical to running every query through
 // ExecuteGroupingSets independently (per-group sums may differ by float
@@ -91,10 +93,10 @@ struct SharedScanOptions {
   /// Cross-session partial-aggregate cache (db/scan_cache.h); nullptr = off.
   /// With a cache, Init() partitions the batch's (query, grouping set)
   /// pairs into hits — merged states adopted directly, never scanned — and
-  /// misses, which scan as usual and are published back at FinalResults()
-  /// when the scan covered the whole table uncancelled and none of the
-  /// pair's aggregates was retired. The pointee must outlive the scan
-  /// state.
+  /// misses, which scan as usual and are offered back at Close() when the
+  /// scan covered the whole table uncancelled and none of the pair's
+  /// aggregates was retired (the cache admits an entry on its key's second
+  /// miss). The pointee must outlive the scan state.
   PartialAggCache* cache = nullptr;
   /// Catalog version of the scanned table (db::Catalog::TableVersion),
   /// embedded in every cache key so stale entries can never be adopted.
@@ -177,17 +179,48 @@ struct SharedScanStats {
   size_t cache_misses = 0;
 };
 
+/// One (query, grouping set)'s merged aggregation state, read in place by
+/// SharedScanState::ReadSet: what the phased executor scores views from
+/// without building a Table. Borrowed from the scan state, and valid until
+/// its next RunPhase or ResumeAfterCancel.
+struct MergedSet {
+  /// Group ids in key order (internal::SortGroupsByKey): the row order of
+  /// the pair's materialized table.
+  const std::vector<int32_t>* order = nullptr;
+  /// same_key[i] is 1 when group order[i]'s first grouping column compares
+  /// equal to group order[i - 1]'s: two groups one key cannot tell apart,
+  /// like a double dimension's 0.0 and -0.0, which the scan keeps apart by
+  /// bit pattern. same_key[0] is 0.
+  const std::vector<uint8_t>* same_key = nullptr;
+  /// states[j]: aggregate j's AggStates indexed by group id — its retirement
+  /// snapshot when it retired while its accumulator ran on.
+  const std::vector<const AggState*>* states = nullptr;
+  /// The set's first grouping column (nullptr for a global aggregate) and a
+  /// representative row of each group, where a group's key is read.
+  const Column* key_column = nullptr;
+  const std::vector<uint32_t>* rep_row = nullptr;
+
+  /// Group g's first grouping column, boxed.
+  Value KeyOf(int32_t g) const;
+};
+
+/// Three-way comparison (-1, 0, 1) of group g of `a` with group h of `b` on
+/// their first grouping column, in key order. Both sets must group by the
+/// same first column of one table.
+int CompareKeys(const MergedSet& a, int32_t g, const MergedSet& b, int32_t h);
+
 /// \brief Resumable fused scan over one table: the whole query batch
 /// advances through the table in caller-controlled row-range phases.
 ///
 /// Usage:
 ///   SEEDB_ASSIGN_OR_RETURN(auto scan, SharedScanState::Create(t, qs, opts));
 ///   scan.RunPhase(0, n/2);              // first half of the table
-///   scan.PartialResults(q);             // un-finalized per-query partials
+///   scan.ReadSet(q, s);                 // merged state of (q, s), in place
 ///   scan.RetireAggregate(q, s, j);      // no live view reads (q, s, j)
 ///   scan.DeactivateQuery(q);            // retire every aggregate of q
 ///   scan.RunPhase(n/2, n);              // remaining rows, live pairs only
-///   scan.FinalResults();                // materialize sets still live
+///   scan.Close();                       // offer to the cache, no tables
+///   scan.FinalResults();                // or: Close() and materialize
 ///
 /// Phases must be disjoint and strictly forward (row_begin == rows of every
 /// previous phase combined); results after scanning [0, n) are exactly
@@ -250,18 +283,28 @@ class SharedScanState {
   /// FinalResults() leaves its slot empty. Idempotent.
   Status DeactivateQuery(size_t q);
 
-  /// Materializes query q's current partial results — same shape as the
-  /// final results, computed from the rows seen so far, without finalizing
-  /// the scan. A set with no live aggregate comes back as an empty
-  /// placeholder table (no columns) so result indices still match grouping
-  /// sets; a fully retired query instead materializes all of its frozen
-  /// state.
+  /// Reads (query q, grouping set `set`)'s merged state as of the rows seen
+  /// so far, without copying or finalizing it. The key order is computed
+  /// on the first read and again only after the set has gained groups.
+  /// Errors on an out-of-range pair.
+  Result<MergedSet> ReadSet(size_t q, size_t set);
+
+  /// Materializes query q's current partial results as tables — same shape
+  /// as the final results, computed from the rows seen so far, without
+  /// finalizing the scan. A set with no live aggregate comes back as an
+  /// empty placeholder table (no columns) so result indices still match
+  /// grouping sets; a fully retired query instead materializes all of its
+  /// frozen state. The table-building reference ReadSet is tested against.
   Result<std::vector<Table>> PartialResults(size_t q) const;
 
-  /// Materializes every active query's results from the merged state, with
-  /// the same placeholders as PartialResults(). Retired queries yield an
-  /// empty result-set vector. The state stays readable but further phases
-  /// are rejected.
+  /// Ends the scan without materializing anything: offers every fully
+  /// scanned pair to the result cache and rejects further phases. The
+  /// merged state stays readable. Idempotent.
+  void Close();
+
+  /// Close(), then materializes every active query's results from the
+  /// merged state, with the same placeholders as PartialResults(). Retired
+  /// queries yield an empty result-set vector.
   Result<std::vector<std::vector<Table>>> FinalResults();
 
   SharedScanStats stats() const;

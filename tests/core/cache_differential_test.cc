@@ -110,6 +110,8 @@ TEST_F(CacheDifferentialTest,
         Request(config.strategy, config.pruner, config.phases);
     const RecommendationSet cold = Run(&engine, request);
     EXPECT_EQ(engine.result_cache()->stats().hits, 0u);
+    // Entries are admitted on their key's second miss: one more cold run.
+    Run(&engine, request);
     const RecommendationSet warm = Run(&engine, request);
     ExpectBitIdentical(warm, cold);
     const db::ScanCacheStats after_warm = engine.result_cache()->stats();
@@ -174,6 +176,8 @@ TEST_F(CacheDifferentialTest, PrunedRunPublishesOnlyFullyScannedSets) {
   ASSERT_GT(whole_sets_retired, 0u) << "no set retired outright";
   ASSERT_LT(touched.size(), dims.size()) << "no set scanned in full";
 
+  // Entries are admitted on their key's second miss: one more cold run.
+  Run(&engine, request);
   const RecommendationSet warm = Run(&engine, request);
   EXPECT_EQ(warm.profile.scan.cache_misses, touched.size());
   EXPECT_EQ(warm.profile.scan.cache_hits, dims.size() - touched.size());
@@ -189,6 +193,8 @@ TEST_F(CacheDifferentialTest, FullyWarmRunScansNoRows) {
       Request(ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1);
   const RecommendationSet cold = Run(&engine, request);
   EXPECT_GT(cold.profile.scan.rows_scanned, 0u);
+  // Entries are admitted on their key's second miss: one more cold run.
+  Run(&engine, request);
   const RecommendationSet warm = Run(&engine, request);
   ExpectBitIdentical(warm, cold);
   // No pruner, one pass: every pair was published, so the warm run adopts
@@ -203,6 +209,10 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
   const SeeDBRequest request =
       Request(ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1);
   const RecommendationSet first = Run(&engine, request);
+  // Entries are admitted on their key's second miss: one more run puts the
+  // old version's entries in the cache.
+  Run(&engine, request);
+  ASSERT_GT(engine.result_cache()->stats().entries, 0u);
 
   // Replace the table with differently-seeded data: same name and schema,
   // new version. Every cached entry keyed at the old version must be dead.
@@ -226,7 +236,8 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
   }
   EXPECT_TRUE(any_differs);
 
-  // And the new version warms up normally.
+  // And the new version warms up normally (its keys' second miss admits).
+  Run(&engine, request);
   const RecommendationSet third = Run(&engine, request);
   ExpectBitIdentical(third, second);
   EXPECT_GT(third.profile.scan.cache_hits, 0u);

@@ -368,6 +368,8 @@ TEST_P(AccumulatorSharingTest, CacheEntriesHoldAccumulators) {
   SharedScanOptions options = OneThread(GetParam());
   options.cache = &cache;
   options.table_version = 3;
+  // Entries are admitted on their key's second miss: one warm-up run first.
+  RunPhases(table_, plan_, options, 1);
   SharedScanStats cold_stats;
   const auto cold = RunPhases(table_, plan_, options, 1, &cold_stats);
 
@@ -421,7 +423,10 @@ TEST_P(AccumulatorSharingTest, CountOnlyEntryIsNotAdoptedBySum) {
   SharedScanOptions options = OneThread(GetParam());
   options.cache = &cache;
   options.table_version = 1;
+  // Twice: the counts entry is admitted on its key's second miss.
   RunPhases(table_, {counts}, options, 1);
+  RunPhases(table_, {counts}, options, 1);
+  ASSERT_EQ(cache.stats().entries, 1u);
   SharedScanStats stats;
   const auto warm = RunPhases(table_, {sums}, options, 1, &stats);
   EXPECT_EQ(stats.cache_hits, 0u);
